@@ -4,7 +4,8 @@
 // largest circuit; the incremental-evaluation design is what makes the
 // optimization tractable. These benchmarks pin the per-operation costs:
 // evaluator construction, incremental move + fitness, boundary computation,
-// distance-oracle construction, transition-time analysis, and the logic
+// distance-oracle construction and the standard-partition baseline on a
+// 10k-100k gate ladder, transition-time analysis, and the logic
 // simulator's pattern throughput.
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,8 @@
 
 #include "core/evolution.hpp"
 #include "core/neighborhood.hpp"
+#include "core/size_planner.hpp"
+#include "core/standard_partition.hpp"
 #include "core/start_partition.hpp"
 #include "core/tabu.hpp"
 #include "electrical/delay_model.hpp"
@@ -248,13 +251,65 @@ void BM_TransitionTimes(benchmark::State& state) {
 }
 BENCHMARK(BM_TransitionTimes)->Unit(benchmark::kMillisecond);
 
+// Ladder for the two set-up phases every BIG row pays once: the distance
+// oracle and the standard-partition baseline (paper section 5). Both are
+// near-linear in the near-list entries, so 10k -> 100k should cost about
+// 10x (plus the heap's log factor and cache misses), not the ~100x of a
+// quadratic phase.
+constexpr std::array<const char*, 3> kSetupLadder = {
+    "big_dag10k", "big_dag30k", "big_dag100k"};
+
+struct SetupFixture {
+  netlist::Netlist nl;
+  part::EvalContext ctx;
+  std::vector<std::size_t> sizes;  // planned K, split evenly
+
+  explicit SetupFixture(const char* name)
+      : nl(netlist::load_circuit(name)),
+        ctx(nl, library(), elec::SensorSpec{}, part::CostWeights{}) {
+    const std::size_t k = core::plan_module_size(ctx).module_count;
+    const std::size_t n = nl.logic_gate_count();
+    sizes.assign(k, n / k);
+    for (std::size_t i = 0; i < n % k; ++i) ++sizes[i];
+  }
+};
+
+SetupFixture& setup_at(std::size_t idx) {
+  static std::array<SetupFixture*, kSetupLadder.size()> fixtures{};
+  if (fixtures[idx] == nullptr)
+    fixtures[idx] = new SetupFixture(kSetupLadder[idx]);
+  return *fixtures[idx];
+}
+
 void BM_DistanceOracle(benchmark::State& state) {
+  const auto& f = setup_at(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    const netlist::DistanceOracle oracle(circuit(), 4);
+    const netlist::DistanceOracle oracle(f.nl, 4);
     benchmark::DoNotOptimize(oracle.entry_count());
   }
+  state.counters["entries"] = static_cast<double>(f.ctx.oracle.entry_count());
+  state.SetComplexityN(static_cast<benchmark::IterationCount>(
+      f.nl.logic_gate_count()));
 }
-BENCHMARK(BM_DistanceOracle)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DistanceOracle)
+    ->DenseRange(0, kSetupLadder.size() - 1)
+    ->Unit(benchmark::kMillisecond)
+    ->Complexity();
+
+void BM_StandardPartition(benchmark::State& state) {
+  const auto& f = setup_at(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    const auto p = core::standard_partition(f.nl, f.ctx.oracle, f.sizes);
+    benchmark::DoNotOptimize(p.module_count());
+  }
+  state.counters["modules"] = static_cast<double>(f.sizes.size());
+  state.SetComplexityN(static_cast<benchmark::IterationCount>(
+      f.nl.logic_gate_count()));
+}
+BENCHMARK(BM_StandardPartition)
+    ->DenseRange(0, kSetupLadder.size() - 1)
+    ->Unit(benchmark::kMillisecond)
+    ->Complexity();
 
 // Ladder for the profile-max benches: Table-1 sizes plus the full BIG
 // tier (the grid grows with circuit depth, so big_dag100k has the widest

@@ -39,8 +39,10 @@
 // columns disappear — the 1995 paper has no numbers at these sizes —
 // and the JSON gains a "tier" field (only when non-default, so existing
 // BENCH_table1.json baselines stay comparable). `--only NAME` restricts
-// any tier to one circuit; the CI big-smoke leg uses it to sweep just
-// big_dag10k against a committed golden.
+// any tier to one circuit and records it as an "only" field, which tells
+// tools/bench_compare.py to check just that circuit against a full
+// baseline; the CI big-smoke leg uses it to sweep just big_dag10k against
+// a committed golden.
 //
 // Paper-reported reference values (where the 1995 scan is legible):
 //   #modules:            2 / 3 / 4 / 6 / 5 / 6
@@ -438,6 +440,8 @@ int main(int argc, char** argv) {
     // Only emitted off the default tier so pre-tier BENCH_table1.json
     // baselines stay comparable (bench_compare: absent == "table1").
     if (big_tier) doc.field("tier", tier);
+    // A subset run: bench_compare checks only the circuits it holds.
+    if (only) doc.field("only", *only);
     doc.field("fast", fast != nullptr && std::string(fast) == "1")
         // Row "seconds" semantics differ per mode — only compare files
         // with matching seconds_kind (and fast/threads) across PRs.

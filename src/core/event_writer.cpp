@@ -41,7 +41,11 @@ bool SessionEventWriter::post(std::string line, EventDeliveryClass cls) {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     if (stopping_ || disconnected_ || peer_gone_) return false;
-    if (bound_ > 0 && queue_.size() >= bound_) {
+    // The line the writer thread is sending counts too: a peer that stops
+    // reading blocks that send, and its backlog must overflow at `bound`
+    // lines, not at `bound` plus the one stuck on the wire.
+    const std::size_t held = queue_.size() + (writing_ ? 1 : 0);
+    if (bound_ > 0 && held >= bound_) {
       // Full. Reclaim the oldest droppable line; survivors keep their
       // order (we only ever remove, never reorder).
       const auto droppable = std::find_if(

@@ -8,7 +8,8 @@
 // its own writer thread — never a worker carrying another session's job.
 //
 // Overflow policy, per EventDeliveryClass (core/job_event.hpp), applied
-// when the queue holds `bound` lines (bound 0 = unbounded, never applies):
+// when the writer holds `bound` lines — queued ones plus the one it is
+// sending right now (bound 0 = unbounded, never applies):
 //  * droppable lines (progress ticks): the oldest queued droppable line is
 //    discarded to make room; if none is queued, the incoming tick itself
 //    is dropped. Either way post() succeeds and dropped_progress counts it.
@@ -52,11 +53,12 @@ class SessionEventWriter {
     bool disconnected = false;  // overflow policy tore the session down
   };
 
-  /// `channel` must outlive the writer. `bound` caps queued lines (0 =
-  /// unbounded). `on_disconnect` runs (once, without the queue lock, on
-  /// the thread whose post() overflowed) when a must_deliver line cannot
-  /// be queued; `overflow_error_line` is the protocol `error` JSON queued
-  /// as the best-effort last line of a disconnected session.
+  /// `channel` must outlive the writer. `bound` caps queued plus
+  /// in-flight lines (0 = unbounded). `on_disconnect` runs (once, without
+  /// the queue lock, on the thread whose post() overflowed) when a
+  /// must_deliver line cannot be queued; `overflow_error_line` is the
+  /// protocol `error` JSON queued as the best-effort last line of a
+  /// disconnected session.
   SessionEventWriter(support::LineChannel& channel, std::size_t bound,
                      std::function<void()> on_disconnect,
                      std::string overflow_error_line);

@@ -1,12 +1,119 @@
 #include "core/standard_partition.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "netlist/levelize.hpp"
 #include "support/error.hpp"
 
 namespace iddq::core {
+
+namespace {
+
+constexpr std::uint32_t kAbsent = std::numeric_limits<std::uint32_t>::max();
+
+/// Indexed binary max-heap over the free logic gates (items are positions
+/// in Netlist::logic_gates()). Each heap node carries its item's two
+/// discounts, so sifts compare without indirection. The order is
+/// (discount_cluster desc, discount_free asc, position asc): exactly the
+/// winner the first-wins linear scan over logic_gates() picks.
+class FreeGateHeap {
+ public:
+  /// Every item starts free with discount_cluster 0.
+  explicit FreeGateHeap(std::vector<double> discount_free)
+      : nodes_(discount_free.size()), slot_(discount_free.size()) {
+    for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
+      nodes_[i] = Node{0.0, discount_free[i], i};
+      slot_[i] = i;
+    }
+    for (std::size_t s = nodes_.size() / 2; s-- > 0;) sift_down(s);
+  }
+
+  [[nodiscard]] bool contains(std::uint32_t i) const {
+    return slot_[i] != kAbsent;
+  }
+  [[nodiscard]] std::uint32_t top() const { return nodes_.front().item; }
+  [[nodiscard]] double discount_cluster(std::uint32_t i) const {
+    return nodes_[slot_[i]].cluster;
+  }
+
+  void erase(std::uint32_t i) {
+    const std::size_t s = slot_[i];
+    slot_[i] = kAbsent;
+    const Node last = nodes_.back();
+    nodes_.pop_back();
+    if (last.item == i) return;
+    place(s, last);
+    sift_down(s);
+    sift_up(slot_[last.item]);
+  }
+
+  /// A clustered neighbour at weight `w` (>= 1): discount_cluster grows,
+  /// discount_free shrinks, so the priority only rises.
+  void cluster_neighbor(std::uint32_t i, double w) {
+    Node& node = nodes_[slot_[i]];
+    node.cluster += w;
+    node.free -= w;
+    sift_up(slot_[i]);
+  }
+
+  /// New module: discount_cluster back to 0, so the priority only falls.
+  void reset_cluster(std::uint32_t i) {
+    nodes_[slot_[i]].cluster = 0.0;
+    sift_down(slot_[i]);
+  }
+
+ private:
+  struct Node {
+    double cluster;
+    double free;
+    std::uint32_t item;
+  };
+
+  [[nodiscard]] static bool before(const Node& a, const Node& b) {
+    if (a.cluster != b.cluster) return a.cluster > b.cluster;
+    if (a.free != b.free) return a.free < b.free;
+    return a.item < b.item;
+  }
+
+  void place(std::size_t s, const Node& node) {
+    nodes_[s] = node;
+    slot_[node.item] = static_cast<std::uint32_t>(s);
+  }
+
+  void sift_up(std::size_t s) {
+    const Node node = nodes_[s];
+    while (s > 0) {
+      const std::size_t parent = (s - 1) / 2;
+      if (!before(node, nodes_[parent])) break;
+      place(s, nodes_[parent]);
+      s = parent;
+    }
+    place(s, node);
+  }
+
+  void sift_down(std::size_t s) {
+    const Node node = nodes_[s];
+    const std::size_t n = nodes_.size();
+    while (true) {
+      std::size_t child = 2 * s + 1;
+      if (child >= n) break;
+      if (child + 1 < n && before(nodes_[child + 1], nodes_[child])) ++child;
+      if (!before(nodes_[child], node)) break;
+      place(s, nodes_[child]);
+      s = child;
+    }
+    place(s, node);
+  }
+
+  std::vector<Node> nodes_;           // heap order
+  std::vector<std::uint32_t> slot_;   // item -> index in nodes_, or kAbsent
+};
+
+}  // namespace
 
 part::Partition standard_partition(const netlist::Netlist& nl,
                                    const netlist::DistanceOracle& oracle,
@@ -21,75 +128,69 @@ part::Partition standard_partition(const netlist::Netlist& nl,
   for (const std::size_t s : module_sizes)
     require(s >= 1, "standard partition: zero-size module requested");
 
-  const auto levels = netlist::levelize(nl);
+  const auto logic = nl.logic_gates();
   const double rho = static_cast<double>(oracle.rho());
 
-  std::vector<bool> free_gate(nl.gate_count(), false);
-  for (const netlist::GateId g : nl.logic_gates()) free_gate[g] = true;
-  std::size_t free_count = n;
+  // Everything below is indexed by position in logic_gates(); position_of
+  // maps a gate id there (kAbsent for inputs, which are never clustered).
+  std::vector<std::uint32_t> position_of(nl.gate_count(), kAbsent);
+  for (std::uint32_t i = 0; i < n; ++i) position_of[logic[i]] = i;
 
-  // discount_cluster[c]: sum over clustered gates h near c of (rho - d(c,h));
-  // the sum of path lengths to the cluster is |cluster|*rho - discount.
-  // discount_free[c]: same against the free set, for the tie-break
-  // (maximising path lengths to unclustered == minimising discount_free).
-  std::vector<double> discount_cluster(nl.gate_count(), 0.0);
-  std::vector<double> discount_free(nl.gate_count(), 0.0);
-  for (const netlist::GateId g : nl.logic_gates())
-    for (const auto& [neighbor, distance] : oracle.near(g))
-      if (free_gate[neighbor])
-        discount_free[g] += rho - static_cast<double>(distance);
+  // discount_cluster(i): sum over clustered gates h near i of
+  // (rho - d(i,h)); the sum of path lengths to the cluster is
+  // |cluster|*rho - discount. discount_free(i): same against the free set,
+  // for the tie-break (maximising path lengths to unclustered ==
+  // minimising discount_free). The heap keeps both for the free gates,
+  // and each accumulates its terms in the original order.
+  std::vector<double> discount_free(n, 0.0);
+  for (std::uint32_t i = 0; i < n; ++i)
+    for (const auto& [neighbor, distance] : oracle.near(logic[i]))
+      if (position_of[neighbor] != kAbsent)
+        discount_free[i] += rho - static_cast<double>(distance);
+  FreeGateHeap heap(std::move(discount_free));
+  // Free gates whose discount_cluster left 0 in the current module.
+  std::vector<std::uint32_t> touched;
+
+  // Seeds: free gates in (depth, position) order; a cursor skips the ones
+  // already clustered, which never become free again.
+  const auto levels = netlist::levelize(nl);
+  std::vector<std::uint32_t> by_depth(n);
+  std::iota(by_depth.begin(), by_depth.end(), std::uint32_t{0});
+  std::stable_sort(by_depth.begin(), by_depth.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return levels.depth[logic[a]] < levels.depth[logic[b]];
+                   });
+  std::size_t seed_cursor = 0;
 
   part::Partition partition(nl.gate_count(), module_sizes.size());
 
-  const auto add_to_cluster = [&](netlist::GateId g, std::uint32_t m) {
-    partition.assign(g, m);
-    free_gate[g] = false;
-    --free_count;
-    for (const auto& [neighbor, distance] : oracle.near(g)) {
-      const double weight = rho - static_cast<double>(distance);
-      discount_cluster[neighbor] += weight;  // g joined the cluster
-      discount_free[neighbor] -= weight;     // g left the free set
+  const auto add_to_cluster = [&](std::uint32_t i, std::uint32_t m) {
+    partition.assign(logic[i], m);
+    heap.erase(i);
+    for (const auto& [neighbor, distance] : oracle.near(logic[i])) {
+      const std::uint32_t j = position_of[neighbor];
+      if (j == kAbsent || !heap.contains(j)) continue;
+      // distance < rho, so weight >= 1 and a 0 discount means untouched.
+      if (heap.discount_cluster(j) == 0.0) touched.push_back(j);
+      heap.cluster_neighbor(j, rho - static_cast<double>(distance));
     }
   };
 
   for (std::uint32_t m = 0; m < module_sizes.size(); ++m) {
     // Seed: free gate as near to a primary input as possible.
-    netlist::GateId seed = netlist::kNoGate;
-    std::size_t seed_depth = static_cast<std::size_t>(-1);
-    for (const netlist::GateId g : nl.logic_gates()) {
-      if (!free_gate[g]) continue;
-      if (levels.depth[g] < seed_depth) {
-        seed_depth = levels.depth[g];
-        seed = g;
-      }
-    }
-    IDDQ_ASSERT(seed != netlist::kNoGate);
+    while (!heap.contains(by_depth[seed_cursor])) ++seed_cursor;
+    const std::uint32_t seed = by_depth[seed_cursor];
     // Reset cluster discounts for the new module.
-    std::fill(discount_cluster.begin(), discount_cluster.end(), 0.0);
+    for (const std::uint32_t j : touched)
+      if (heap.contains(j)) heap.reset_cluster(j);
+    touched.clear();
     add_to_cluster(seed, m);
 
-    for (std::size_t added = 1; added < module_sizes[m]; ++added) {
-      // argmin over free gates of sum-to-cluster == argmax discount_cluster;
-      // tie-break: argmax sum-to-free == argmin discount_free.
-      netlist::GateId best = netlist::kNoGate;
-      double best_discount = -1.0;
-      double best_tiebreak = 0.0;
-      for (const netlist::GateId g : nl.logic_gates()) {
-        if (!free_gate[g]) continue;
-        const double d = discount_cluster[g];
-        const double tb = discount_free[g];
-        if (best == netlist::kNoGate || d > best_discount ||
-            (d == best_discount && tb < best_tiebreak)) {
-          best = g;
-          best_discount = d;
-          best_tiebreak = tb;
-        }
-      }
-      IDDQ_ASSERT(best != netlist::kNoGate);
-      add_to_cluster(best, m);
-    }
+    // argmin over free gates of sum-to-cluster == argmax discount_cluster;
+    // tie-break: argmax sum-to-free == argmin discount_free.
+    for (std::size_t added = 1; added < module_sizes[m]; ++added)
+      add_to_cluster(heap.top(), m);
   }
-  IDDQ_ASSERT(free_count == 0);
   IDDQ_ASSERT(partition.covers(nl));
   return partition;
 }

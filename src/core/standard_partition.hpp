@@ -12,6 +12,8 @@
 // Module sizes are supplied by the caller — in the Table 1 experiment they
 // are the sizes the evolution strategy discovered, exactly as in the paper.
 // Path lengths use the same rho-saturated separation metric as c3.
+// An indexed max-heap picks each next gate in O(log n), so a partition
+// costs O(n + E log n) for E oracle near-list entries (docs/methods.md).
 #pragma once
 
 #include <span>

@@ -16,6 +16,13 @@
 // closer than rho; everything else is rho by definition. Queries are
 // O(log degree_rho); module sums are computed incrementally by the
 // separation estimator.
+//
+// Storage is CSR: one flat Entry array holding every near list back to
+// back, and gate_count()+1 offsets into it. The build runs one bounded BFS
+// per source over a shared scratch buffer (reset through its visited list),
+// first to count the entries and then to fill the exactly sized array, so
+// it costs O(sum of near-list sizes * degree) time and holds no per-source
+// allocation.
 #pragma once
 
 #include <cstdint>
@@ -45,15 +52,19 @@ class DistanceOracle {
 
   /// Gates strictly closer than rho to `g` (excluding g itself), sorted by id.
   [[nodiscard]] std::span<const Entry> near(GateId g) const {
-    return near_[g];
+    return {entries_.data() + offsets_[g], entries_.data() + offsets_[g + 1]};
   }
 
   /// Total number of stored (gate, distance) entries, for memory accounting.
-  [[nodiscard]] std::size_t entry_count() const noexcept;
+  [[nodiscard]] std::size_t entry_count() const noexcept {
+    return entries_.size();
+  }
 
  private:
   std::uint32_t rho_;
-  std::vector<std::vector<Entry>> near_;
+  // near(g) is entries_[offsets_[g], offsets_[g + 1]).
+  std::vector<std::size_t> offsets_;
+  std::vector<Entry> entries_;
 };
 
 }  // namespace iddq::netlist

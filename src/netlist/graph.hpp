@@ -37,6 +37,10 @@ class UndirectedGraph {
 
 /// Hop distances from `source` to every vertex within `radius` hops.
 /// Entries beyond the radius (or unreachable) are set to kUnreached.
+///
+/// A reference and test entry point: each call allocates and returns an
+/// n-sized vector. DistanceOracle, the production user of bounded BFS,
+/// runs its own scratch-buffer BFS instead; tests/reference/ diffs the two.
 inline constexpr std::uint32_t kUnreached = static_cast<std::uint32_t>(-1);
 
 [[nodiscard]] std::vector<std::uint32_t> bfs_within(

@@ -33,6 +33,8 @@ class GatedChannel final : public LineChannel {
 
   bool write_line(std::string_view line) override {
     std::unique_lock<std::mutex> lock(mutex_);
+    ++blocked_writes_;
+    cv_.notify_all();
     cv_.wait(lock, [this] { return open_ || shut_; });
     if (shut_) return false;
     lines_.emplace_back(line);
@@ -55,6 +57,12 @@ class GatedChannel final : public LineChannel {
     cv_.notify_all();
   }
 
+  /// Returns once some write_line call has reached the closed gate.
+  void wait_until_blocked() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return blocked_writes_ > 0; });
+  }
+
   std::vector<std::string> lines() {
     const std::lock_guard<std::mutex> lock(mutex_);
     return lines_;
@@ -65,12 +73,15 @@ class GatedChannel final : public LineChannel {
   std::condition_variable cv_;
   bool open_ = false;
   bool shut_ = false;
+  int blocked_writes_ = 0;
   std::vector<std::string> lines_;
 };
 
 /// Posts a sentinel and waits until the writer thread has popped it (and
 /// is blocked writing it through the closed gate). From here on the queue
-/// fills without the writer consuming, so overflow tests are exact.
+/// fills without the writer consuming, so overflow tests are exact. The
+/// sentinel on the wire counts toward the bound, so each test's bound is
+/// one more than the lines it queues behind it.
 void park_writer(SessionEventWriter& writer) {
   ASSERT_TRUE(writer.post("sentinel", kMust));
   const auto deadline =
@@ -87,7 +98,7 @@ TEST(EventWriter, DropsOldestProgressNeverRows) {
   bool disconnect_fired = false;
   {
     SessionEventWriter writer(
-        channel, 4, [&] { disconnect_fired = true; }, "overflow");
+        channel, 5, [&] { disconnect_fired = true; }, "overflow");
     park_writer(writer);
 
     ASSERT_TRUE(writer.post("p1", kDroppable));
@@ -111,7 +122,7 @@ TEST(EventWriter, DropsOldestProgressNeverRows) {
 
 TEST(EventWriter, IncomingTickShedWhenQueueIsAllMustDeliver) {
   GatedChannel channel;
-  SessionEventWriter writer(channel, 2, nullptr, "overflow");
+  SessionEventWriter writer(channel, 3, nullptr, "overflow");
   park_writer(writer);
 
   ASSERT_TRUE(writer.post("r1", kMust));
@@ -133,7 +144,7 @@ TEST(EventWriter, MustDeliverOverflowDisconnectsWithError) {
   int disconnects = 0;
   {
     SessionEventWriter writer(
-        channel, 2, [&] { ++disconnects; }, "overflow-error");
+        channel, 3, [&] { ++disconnects; }, "overflow-error");
     park_writer(writer);
 
     ASSERT_TRUE(writer.post("r1", kMust));
@@ -156,6 +167,34 @@ TEST(EventWriter, MustDeliverOverflowDisconnectsWithError) {
   // the protocol error explaining why.
   EXPECT_EQ(channel.lines(),
             (std::vector<std::string>{"sentinel", "overflow-error"}));
+}
+
+TEST(EventWriter, BlockedSendCountsTowardBound) {
+  // No clock: the channel itself reports when the writer thread is stuck
+  // sending. With that line on the wire and bound N, N-1 more lines fit
+  // and the N-th must-deliver post overflows, so a peer that stops
+  // reading is cut off at N held lines, not N+1.
+  for (std::size_t bound = 1; bound <= 4; ++bound) {
+    SCOPED_TRACE("bound=" + std::to_string(bound));
+    GatedChannel channel;
+    int disconnects = 0;
+    {
+      SessionEventWriter writer(
+          channel, bound, [&] { ++disconnects; }, "overflow-error");
+      ASSERT_TRUE(writer.post("on-the-wire", kMust));
+      channel.wait_until_blocked();
+      for (std::size_t i = 1; i < bound; ++i)
+        ASSERT_TRUE(writer.post("r" + std::to_string(i), kMust));
+      EXPECT_FALSE(writer.disconnected());
+      EXPECT_FALSE(writer.post("overflow", kMust));
+      EXPECT_TRUE(writer.disconnected());
+      EXPECT_EQ(disconnects, 1);
+      channel.open();
+      writer.flush();
+    }
+    EXPECT_EQ(channel.lines(),
+              (std::vector<std::string>{"on-the-wire", "overflow-error"}));
+  }
 }
 
 TEST(EventWriter, UnboundedNeverDropsOrDisconnects) {
@@ -182,7 +221,7 @@ TEST(EventWriter, UnboundedNeverDropsOrDisconnects) {
 
 TEST(EventWriter, QueueStatsMatchInjectedLoadExactly) {
   GatedChannel channel;
-  SessionEventWriter writer(channel, 3, nullptr, "overflow");
+  SessionEventWriter writer(channel, 4, nullptr, "overflow");
   park_writer(writer);
 
   for (int i = 0; i < 3; ++i)
