@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "bench/common.hpp"
+#include "core/flow_engine.hpp"
 #include "core/resynth.hpp"
 #include "library/cell_library.hpp"
 #include "netlist/gen/iscas_profiles.hpp"
@@ -29,15 +30,23 @@ int main() {
     const auto nl = netlist::gen::make_iscas_like(name);
 
     // Step 1: partition the original circuit (the paper's flow).
-    auto cfg = bench::paper_flow_config();
-    cfg.es.max_generations = 150;
-    const auto base = core::run_flow(nl, library, cfg);
+    const auto cfg = bench::paper_flow_config();
+    core::FlowEngineConfig engine_config;
+    engine_config.sensor = cfg.sensor;
+    engine_config.weights = cfg.weights;
+    engine_config.rho = cfg.rho;
+    engine_config.optimizers.es = cfg.es;
+    engine_config.optimizers.es.max_generations = 150;
+    core::FlowEngine engine(nl, library, engine_config);
+    core::FlowEngine::RunOptions es_options;
+    es_options.seed = cfg.es.seed;
+    const auto base = engine.run_method("evolution", es_options);
 
     // Step 2: partition-aware wave retiming against that partition.
     std::vector<std::vector<netlist::GateId>> groups(
-        base.evolution.partition.module_count());
+        base.partition.module_count());
     for (std::uint32_t m = 0; m < groups.size(); ++m) {
-      const auto gates = base.evolution.partition.module(m);
+      const auto gates = base.partition.module(m);
       groups[m].assign(gates.begin(), gates.end());
     }
     core::ResynthOptions opts;
@@ -54,11 +63,11 @@ int main() {
         part::Partition::from_groups(retimed.netlist, retimed.groups));
 
     const double saved_pct =
-        (1.0 - improved.sensor_area / base.evolution.sensor_area) * 100.0;
+        (1.0 - improved.sensor_area / base.sensor_area) * 100.0;
     table.add_row(
         {std::string(name), "original",
          report::format_fixed(retimed.sum_peak_before_ua / 1000.0, 1),
-         report::format_eng(base.evolution.sensor_area), "0",
+         report::format_eng(base.sensor_area), "0",
          report::format_fixed(retimed.delay_before_ps / 1000.0, 2), "--"});
     table.add_row(
         {std::string(name), "retimed",

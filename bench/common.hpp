@@ -4,17 +4,29 @@
 // EXPERIMENTS.md is generated from exactly these binaries' output.
 #pragma once
 
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 
-#include "core/flow.hpp"
+#include "core/evolution.hpp"
+#include "electrical/sensor_model.hpp"
+#include "partition/cost_model.hpp"
 
 namespace iddq::bench {
 
+/// The paper's flow parameters; a bench copies them into a
+/// core::FlowEngineConfig and runs the ES at seed `es.seed`.
+struct PaperParams {
+  elec::SensorSpec sensor;
+  part::CostWeights weights;
+  std::uint32_t rho = 4;  // separation saturation distance
+  core::EsParams es;
+};
+
 /// The flow configuration used by the Table 1 reproduction. The evolution
 /// budget can be scaled down for smoke runs via IDDQSYN_BENCH_FAST=1.
-inline core::FlowConfig paper_flow_config(std::uint64_t seed = 42) {
-  core::FlowConfig cfg;
+inline PaperParams paper_flow_config(std::uint64_t seed = 42) {
+  PaperParams cfg;
   cfg.es.mu = 8;
   cfg.es.lambda = 7;
   cfg.es.chi = 2;

@@ -10,13 +10,6 @@
 // from the content-addressed result cache when it was computed before —
 // a repeated run completes in seconds with identical numbers.
 //
-// `--service N` drives the same workload through the core::JobService
-// path instead (one job per circuit, N workers, rows streamed) — the
-// exact dispatch the batch server uses. Seeds there follow the job
-// convention (per-method derived from the job's base seed), so the
-// numbers are a deterministic job-path variant of the direct run, not a
-// byte-for-byte replay of it.
-//
 // `--threads N` evaluates each run's ES descendants on a shared N-thread
 // ExecutorPool — rows are byte-identical for any N, only the wall clock
 // changes. `--json FILE` additionally emits the machine-readable rows and
@@ -61,7 +54,6 @@
 
 #include "bench/common.hpp"
 #include "core/flow_engine.hpp"
-#include "core/job_service.hpp"
 #include "core/result_cache.hpp"
 #include "library/cell_library.hpp"
 #include "netlist/circuit_loader.hpp"
@@ -70,11 +62,11 @@
 #include "report/table.hpp"
 #include "support/executor.hpp"
 #include "support/json.hpp"
+#include "support/strings.hpp"
 
 int main(int argc, char** argv) {
   using namespace iddq;
   const char* cache_dir = std::getenv("IDDQ_CACHE_DIR");
-  std::size_t service_workers = 0;  // 0 = direct FlowEngine path
   std::size_t threads = support::ExecutorPool::env_threads();
   std::optional<std::string> json_path;
   bool coverage = false;
@@ -82,27 +74,18 @@ int main(int argc, char** argv) {
   std::string tier = "table1";
   std::optional<std::string> only;
   const auto usage = [] {
-    std::cerr << "usage: bench_table1 [cache-dir] [--service N] "
-                 "[--threads N] [--json FILE] [--coverage] [--pareto] "
+    std::cerr << "usage: bench_table1 [cache-dir] [--threads N] "
+                 "[--json FILE] [--coverage] [--pareto] "
                  "[--tier table1|big] [--only CIRCUIT]\n";
   };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--service") == 0) {
-      const long workers = i + 1 < argc ? std::atol(argv[++i]) : 0;
-      if (workers <= 0) {
-        std::cerr << "bench_table1: --service needs a worker count >= 1\n";
-        usage();
-        return 1;
-      }
-      service_workers = static_cast<std::size_t>(workers);
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      const long n = i + 1 < argc ? std::atol(argv[++i]) : 0;
-      if (n <= 0) {
+    if (std::strcmp(argv[i], "--threads") == 0) {
+      if (i + 1 >= argc || !str::parse_size(argv[++i], threads) ||
+          threads == 0) {
         std::cerr << "bench_table1: --threads needs a count >= 1\n";
         usage();
         return 1;
       }
-      threads = static_cast<std::size_t>(n);
     } else if (std::strcmp(argv[i], "--json") == 0) {
       if (i + 1 >= argc) {
         std::cerr << "bench_table1: --json needs a file path\n";
@@ -188,10 +171,6 @@ int main(int argc, char** argv) {
     circuit_names = std::move(kept_names);
     paper_idx = std::move(kept_idx);
   }
-  const auto load_tier_circuit = [&](const std::string& name) {
-    return big_tier ? netlist::load_circuit(name)
-                    : netlist::gen::make_iscas_like(name);
-  };
   // Open the JSON sink up front: an unwritable path must fail before the
   // sweep (minutes uncached), not after it.
   std::optional<std::ofstream> json_out;
@@ -208,9 +187,6 @@ int main(int argc, char** argv) {
     std::cout << "(result cache: " << cache_dir << ", " << cache->size()
               << " entries loaded)\n\n";
   }
-  if (service_workers > 0)
-    std::cout << "(job-service path: " << service_workers
-              << " workers, per-method derived seeds)\n\n";
   if (threads > 1)
     std::cout << "(intra-run parallelism: " << threads
               << " threads, byte-identical rows)\n\n";
@@ -254,29 +230,7 @@ int main(int argc, char** argv) {
   }
   if (cache) engine_config.cache = &*cache;
 
-  // Job-service path: one job per circuit, all submitted up front, sharded
-  // over the worker pool; rows come back through the same JobService the
-  // batch server dispatches on. The loop below then waits in table order.
-  std::optional<core::JobService> service;
-  std::vector<core::JobHandle> handles;
   const auto sweep_start = std::chrono::steady_clock::now();
-  if (service_workers > 0) {
-    core::JobServiceConfig service_config;
-    service_config.workers = service_workers;
-    service_config.flow = engine_config;
-    service.emplace(library, std::move(service_config));
-    // Builtin table-1 circuits are statistical stand-ins produced by
-    // make_iscas_like, not the CLI loader's builtins; BIG-ladder names
-    // ARE loader builtins.
-    service->set_circuit_loader(load_tier_circuit);
-    for (const auto& name : circuit_names) {
-      core::JobSpec spec;
-      spec.circuit = name;
-      spec.methods = {"evolution", "standard"};
-      spec.base_seed = cfg.es.seed;
-      handles.push_back(service->submit(std::move(spec)));
-    }
-  }
 
   struct JsonRow {
     std::string circuit;
@@ -292,45 +246,23 @@ int main(int argc, char** argv) {
   for (const auto& name : circuit_names) {
     const auto t0 = std::chrono::steady_clock::now();
 
-    core::MethodResult evolution;
-    core::MethodResult standard;
-    std::size_t gate_count = 0;
-    if (service_workers > 0) {
-      const core::JobResult& job = handles[idx].wait();
-      if (!job.ok()) {
-        std::cerr << "table1: " << name << ": " << job.error << "\n";
-        return 1;
-      }
-      evolution = job.rows.at(0);
-      standard = job.rows.at(1);
-      gate_count = load_tier_circuit(name).logic_gate_count();
-    } else {
-      const auto nl = load_tier_circuit(name);
-      gate_count = nl.logic_gate_count();
-      // Same runs and seeds as core::run_flow, but through a cache-aware
-      // engine: evolution first, then the standard baseline clustered at
-      // the module sizes the ES discovered (paper section 5).
-      core::FlowEngine engine(nl, library, engine_config);
-
-      core::FlowEngine::RunOptions es_options;
-      es_options.seed = cfg.es.seed;
-      evolution = engine.run_method("evolution", es_options);
-
-      core::FlowEngine::RunOptions std_options;
-      std_options.seed = cfg.es.seed;
-      std_options.start = &evolution.partition;
-      standard = engine.run_method("standard", std_options);
-    }
+    const auto nl = big_tier ? netlist::load_circuit(name)
+                             : netlist::gen::make_iscas_like(name);
+    const std::size_t gate_count = nl.logic_gate_count();
+    // Evolution first at the bench seed, then the standard baseline
+    // clustered at the module sizes the ES discovered (paper section 5).
+    core::FlowEngine engine(nl, library, engine_config);
+    core::FlowEngine::RunOptions options;
+    options.seed = cfg.es.seed;
+    const auto evolution = engine.run_method("evolution", options);
+    options.start = &evolution.partition;
+    const auto standard = engine.run_method("standard", options);
 
     const double seconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() -
-            (service_workers > 0 ? sweep_start : t0))
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
     const double overhead_pct =
-        evolution.sensor_area > 0.0
-            ? (standard.sensor_area / evolution.sensor_area - 1.0) * 100.0
-            : 0.0;
+        core::standard_area_overhead_pct(evolution, standard);
 
     if (json_out || pareto)
       json_rows.push_back(
@@ -443,19 +375,15 @@ int main(int argc, char** argv) {
     // A subset run: bench_compare checks only the circuits it holds.
     if (only) doc.field("only", *only);
     doc.field("fast", fast != nullptr && std::string(fast) == "1")
-        // Row "seconds" semantics differ per mode — only compare files
+        // Rows time one circuit each; bench_compare only compares files
         // with matching seconds_kind (and fast/threads) across PRs.
-        .field("seconds_kind", service_workers > 0
-                                   ? "sweep_offset"   // overlapping jobs
-                                   : "per_circuit")   // true per-run time
+        .field("seconds_kind", "per_circuit")
         .field("threads", static_cast<std::uint64_t>(threads));
     // Only emitted when grading: keeps default-run docs byte-compatible
     // with pre-coverage baselines (bench_compare treats the absent field
     // and a default run as the same population).
     if (coverage) doc.field("coverage", true);
-    doc.field("service_workers",
-               static_cast<std::uint64_t>(service_workers))
-        .field("cached", cache.has_value())
+    doc.field("cached", cache.has_value())
         .field("total_seconds", total_seconds)
         .field_raw("rows", std::move(rows).str());
     *json_out << std::move(doc).str() << "\n";

@@ -10,8 +10,10 @@
 // swamps small defect currents (the discriminability problem of section 1);
 // per-module sensors restore the margin and the coverage.
 #include <iostream>
+#include <string>
+#include <vector>
 
-#include "core/flow.hpp"
+#include "core/flow_engine.hpp"
 #include "library/cell_library.hpp"
 #include "netlist/gen/random_dag.hpp"
 #include "report/table.hpp"
@@ -28,12 +30,13 @@ int main() {
   const auto library = lib::default_library();
 
   // Partition via the paper's flow (reduced budget: this is a demo).
-  core::FlowConfig config;
-  config.es.max_generations = 60;
-  config.es.stall_generations = 20;
-  config.es.seed = 7;
-  const auto flow = core::run_flow(nl, library, config);
-  const auto& partitioned = flow.evolution.partition;
+  core::FlowEngineConfig config;
+  config.optimizers.es.max_generations = 60;
+  config.optimizers.es.stall_generations = 20;
+  core::FlowEngine engine(nl, library, config);
+  const std::vector<std::string> methods{"evolution", "standard"};
+  const auto flow = engine.run_methods(methods, /*base_seed=*/7);
+  const auto& partitioned = flow.front().partition;
 
   // Monolithic "partition": every gate in one module.
   std::vector<std::vector<netlist::GateId>> one(1);

@@ -13,7 +13,8 @@ using json::JsonWriter;
 
 // ---------------------------------------------------------- ClusterSweep --
 
-ClusterSweep::ClusterSweep(const SweepRequest& request, EmitFn emit)
+ClusterSweep::ClusterSweep(const support::SubmitRequest& request,
+                           EmitFn emit)
     : id_(request.id),
       methods_(request.methods),
       budget_(request.budget),
@@ -375,12 +376,13 @@ void ClusterClient::finish_if_done(const std::shared_ptr<ClusterSweep>& sweep,
 }
 
 std::shared_ptr<ClusterSweep> ClusterClient::submit_sweep(
-    const SweepRequest& request, EmitFn emit) {
+    const support::SubmitRequest& request, EmitFn emit) {
   auto sweep = std::shared_ptr<ClusterSweep>(
       new ClusterSweep(request, std::move(emit)));
   for (std::size_t shard = 0; shard < request.circuits.size(); ++shard) {
     ClusterSweep::Shard& sh = sweep->shards_[shard];
-    // BatchRunner's derivation, computed HERE and shipped as data: the
+    // The `iddqsyn --jobs` derivation, shard i at mix_seed(seed, i),
+    // computed HERE and shipped as data: the
     // backend applies seeds[0] verbatim, so rows match `iddqsyn --jobs N
     // --seed S` whatever backend (or retry) runs the shard. A caller
     // shipping explicit seeds (relayed protocol submits) wins outright.

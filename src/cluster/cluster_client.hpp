@@ -4,10 +4,10 @@
 // One client owns one persistent line-JSON connection per backend plus a
 // reader thread demultiplexing its event stream. A sweep is split into
 // width-1 backend submits (one per circuit): each shard's base seed is
-// computed up front with the BatchRunner derivation mix_seed(seed, shard)
-// and shipped explicitly in the submit's "seeds" array — seeds are DATA
-// attached to the shard, so which backend runs it (or re-runs it after a
-// failure) cannot change its rows. Placement consistent-hashes the shard's
+// computed up front with the `iddqsyn --jobs` derivation, shard i at
+// mix_seed(seed, i), and shipped explicitly in the submit's "seeds" array
+// — seeds are DATA attached to the shard, so which backend runs it (or
+// re-runs it after a failure) cannot change its rows. Placement consistent-hashes the shard's
 // run-key fingerprint (ShardRouter) so repeat traffic lands on backends
 // whose ResultCaches are already warm.
 //
@@ -38,6 +38,7 @@
 
 #include "cluster/row_merger.hpp"
 #include "cluster/shard_router.hpp"
+#include "support/submit_request.hpp"
 #include "support/transport.hpp"
 
 namespace iddq::cluster {
@@ -72,23 +73,6 @@ struct ClusterOptions {
   std::size_t breaker_cooldown_ms = 1000;
 };
 
-struct SweepRequest {
-  std::string id;
-  std::vector<std::string> circuits;
-  std::vector<std::string> methods{"evolution", "standard"};
-  std::uint64_t seed = 1;
-  /// Explicit per-shard base seeds (same length as circuits); when present
-  /// they replace the mix_seed(seed, shard) derivation, mirroring the
-  /// protocol's "seeds" submit field.
-  std::vector<std::uint64_t> seeds;
-  std::size_t budget = 0;
-  bool use_cache = true;
-  int priority = 0;
-  /// Per-job deadline forwarded verbatim to every shard's backend submit
-  /// (0 = omit the field; the backend's own default applies).
-  std::size_t deadline_ms = 0;
-};
-
 /// Sink for merged event lines; `droppable` marks progress ticks so the
 /// caller can apply its backpressure class. Called from backend reader
 /// threads and from the submitting thread; must not block indefinitely.
@@ -113,7 +97,7 @@ class ClusterSweep {
     std::string last_error;  // latest backend rejection, for fail_shard
   };
 
-  ClusterSweep(const SweepRequest& request, EmitFn emit);
+  ClusterSweep(const support::SubmitRequest& request, EmitFn emit);
 
   std::string id_;
   std::vector<std::string> methods_;
@@ -145,8 +129,10 @@ class ClusterClient {
   /// Routes and dispatches every shard (blocking until each is written to
   /// a backend, has exhausted its attempts, or the sweep is cancelled) and
   /// returns the handle; events stream to `emit` as backends produce them.
-  std::shared_ptr<ClusterSweep> submit_sweep(const SweepRequest& request,
-                                             EmitFn emit);
+  /// A non-zero request.deadline_ms is forwarded verbatim to every shard's
+  /// backend submit; 0 omits the field, so the backend's default applies.
+  std::shared_ptr<ClusterSweep> submit_sweep(
+      const support::SubmitRequest& request, EmitFn emit);
 
   /// Cooperatively cancels a sweep: forwards cancel to the backends
   /// holding its shards; shards between dispatches turn cancelled locally.

@@ -29,6 +29,12 @@ MethodResult evaluate_method(const part::EvalContext& ctx, std::string method,
   return r;
 }
 
+double standard_area_overhead_pct(const MethodResult& evolution,
+                                  const MethodResult& standard) {
+  if (!(evolution.sensor_area > 0.0)) return 0.0;
+  return (standard.sensor_area / evolution.sensor_area - 1.0) * 100.0;
+}
+
 FlowEngine::FlowEngine(const netlist::Netlist& nl,
                        const lib::CellLibrary& library,
                        FlowEngineConfig config,

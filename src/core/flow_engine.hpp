@@ -3,9 +3,8 @@
 // FlowEngine owns the per-circuit state the paper's flow precomputes once —
 // the EvalContext (estimators, distance oracle, settling model) and the
 // section-4.2 module-size plan — and runs any registered optimizer spec
-// against it, returning uniform MethodResult rows. run_flow (core/flow.hpp)
-// is a thin compatibility wrapper over this engine; the CLI, the benches,
-// and BatchRunner use it directly.
+// against it, returning uniform MethodResult rows. The CLI, the benches,
+// the examples and JobService all run the flow through this engine.
 #pragma once
 
 #include <cstdint>
@@ -62,6 +61,13 @@ struct MethodResult {
                                            std::string method,
                                            const part::Partition& partition);
 
+/// The paper's headline metric: the extra BIC-sensor area the standard
+/// baseline needs relative to the evolution result, in percent. Returns 0
+/// when the evolution result has no sensor area to compare against (a
+/// degenerate plan, e.g. a single zero-area module) instead of inf/NaN.
+[[nodiscard]] double standard_area_overhead_pct(const MethodResult& evolution,
+                                                const MethodResult& standard);
+
 struct FlowEngineConfig {
   elec::SensorSpec sensor;
   part::CostWeights weights;
@@ -79,11 +85,11 @@ struct FlowEngineConfig {
   /// Shared content-addressed result cache, consulted before every
   /// optimizer dispatch and populated after (core/result_cache.hpp).
   /// Not owned; may be null (no caching). ResultCache is thread-safe, so
-  /// BatchRunner workers share one instance.
+  /// JobService workers share one instance.
   ResultCache* cache = nullptr;
 
   /// Default progress sink for runs whose RunOptions::on_progress is empty
-  /// (how the CLI's --progress reaches BatchRunner-driven runs). Cache
+  /// (how the CLI's --progress reaches its JobService-driven runs). Cache
   /// hits skip the optimizer and therefore do not report progress.
   ProgressCallback on_progress;
 
@@ -110,8 +116,8 @@ struct FlowRunOptions {
 
 /// Per-sequence knobs for the streaming FlowEngine::run_methods overload.
 /// The default-constructed value reproduces the plain overload exactly —
-/// this is what keeps the BatchRunner shim and the job server byte-
-/// identical to direct run_methods calls.
+/// this is what keeps JobService jobs (the `iddqsyn --jobs` sweep and the
+/// job server) byte-identical to direct run_methods calls.
 struct FlowSequenceOptions {
   std::size_t max_evaluations = 0;  // per-method budget, 0 = default
   /// Forwarded into every method's run (overrides the config default).

@@ -1,7 +1,6 @@
 #include "core/job_protocol.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "support/error.hpp"
@@ -10,26 +9,6 @@
 #include "support/strings.hpp"
 
 namespace iddq::core {
-
-/// A parsed submit op (declared in the header as an opaque parameter).
-struct SubmitRequest {
-  std::string id;
-  std::vector<std::string> circuits;
-  std::vector<std::string> methods{"evolution", "standard"};
-  std::uint64_t seed = 1;
-  /// Explicit per-shard base seeds (same length as circuits). When present
-  /// they bypass the mix_seed(seed, shard) derivation entirely — this is
-  /// how a cluster front-end makes seeds travel WITH a shard instead of
-  /// depending on its position inside some backend's submit, so retrying a
-  /// shard on another host cannot change its rows (docs/cluster.md).
-  std::vector<std::uint64_t> seeds;
-  std::size_t budget = 0;
-  bool use_cache = true;
-  int priority = 0;
-  /// Per-job wall-clock budget (JobSpec::deadline_ms); 0 falls back to
-  /// the server's --job-timeout-ms default.
-  std::size_t deadline_ms = 0;
-};
 
 namespace {
 
@@ -216,67 +195,21 @@ bool JobProtocolSession::handle_line(const std::string& line) {
     return false;
   }
   if (op == "submit") {
-    SubmitRequest submit;
-    submit.id = request->get_string("id");
-    if (submit.id.empty()) submit.id = "job-" + std::to_string(++auto_id_);
+    std::string id = request->get_string("id");
+    if (id.empty()) id = "job-" + std::to_string(++auto_id_);
     // Drain mode (docs/robustness.md): the server is shutting down —
     // in-flight work finishes, new work is turned away.
     if (options_.draining != nullptr &&
         options_.draining->load(std::memory_order_acquire)) {
-      send_error("submit: server is draining; resubmit elsewhere",
-                 submit.id);
+      send_error("submit: server is draining; resubmit elsewhere", id);
       return false;
     }
-    if (const json::JsonValue* circuits = request->find("circuits")) {
-      for (const auto& c : circuits->items())
-        if (c.is_string()) submit.circuits.push_back(c.as_string());
-    } else if (const json::JsonValue* one = request->find("circuit")) {
-      if (one->is_string()) submit.circuits.push_back(one->as_string());
-    }
-    if (const json::JsonValue* methods = request->find("methods")) {
-      submit.methods.clear();
-      for (const auto& m : methods->items())
-        if (m.is_string()) submit.methods.push_back(m.as_string());
-    }
-    submit.seed = request->get_u64("seed", 1);
-    if (const json::JsonValue* seeds = request->find("seeds")) {
-      for (const auto& s : seeds->items()) {
-        std::uint64_t value = 0;
-        if (!s.as_u64(value)) {
-          send_error("submit: \"seeds\" must be an array of unsigned "
-                     "64-bit integers",
-                     submit.id);
-          return false;
-        }
-        submit.seeds.push_back(value);
-      }
-    }
-    submit.budget = static_cast<std::size_t>(request->get_u64("budget", 0));
-    submit.use_cache = request->get_bool("cache", true);
-    submit.deadline_ms = static_cast<std::size_t>(
-        request->get_u64("deadline_ms", options_.default_deadline_ms));
-    // Doubles carry the sign ("priority":-2 is valid — background work).
-    // Untrusted input: clamp before the cast (out-of-int-range and NaN
-    // would be undefined behavior); 1e6 dwarfs any real priority scheme.
-    const double priority = request->get_double("priority", 0.0);
-    submit.priority = std::isfinite(priority)
-                          ? static_cast<int>(
-                                std::clamp(priority, -1.0e6, 1.0e6))
-                          : 0;
-    if (submit.circuits.empty()) {
-      send_error("submit: needs \"circuits\" (or \"circuit\")", submit.id);
-      return false;
-    }
-    if (submit.methods.empty()) {
-      send_error("submit: needs at least one method", submit.id);
-      return false;
-    }
-    if (!submit.seeds.empty() &&
-        submit.seeds.size() != submit.circuits.size()) {
-      send_error("submit: \"seeds\" must have one entry per circuit (" +
-                     std::to_string(submit.seeds.size()) + " seeds for " +
-                     std::to_string(submit.circuits.size()) + " circuits)",
-                 submit.id);
+    support::SubmitRequest submit;
+    try {
+      submit = support::parse_submit_request(*request, id,
+                                             options_.default_deadline_ms);
+    } catch (const Error& e) {
+      send_error(e.what(), id);
       return false;
     }
     handle_submit(submit);
@@ -286,7 +219,8 @@ bool JobProtocolSession::handle_line(const std::string& line) {
   return false;
 }
 
-void JobProtocolSession::handle_submit(const SubmitRequest& request) {
+void JobProtocolSession::handle_submit(
+    const support::SubmitRequest& request) {
   // Per-session quota: one greedy client cannot monopolize the shared
   // worker pool. Checked before the global admission bound so the error
   // names the narrower limit. The session reads requests serially, so
@@ -387,8 +321,9 @@ void JobProtocolSession::handle_submit(const SubmitRequest& request) {
       JobSpec spec;
       spec.circuit = request.circuits[shard];
       spec.methods = request.methods;
-      // Same derivation as BatchRunner: shard-index seeds keep a server
-      // sweep byte-identical to `iddqsyn --jobs N` at the same base seed.
+      // The `iddqsyn --jobs` derivation, shard i at mix_seed(seed, i):
+      // shard-index seeds keep a server sweep byte-identical to
+      // `iddqsyn --jobs N` at the same base seed.
       // An explicit "seeds" array overrides it — the seed is then DATA the
       // submitter shipped with the shard, independent of its index here.
       spec.base_seed = request.seeds.empty()

@@ -3,11 +3,11 @@
 //
 // One JobProtocolSession serves one client connection: it reads request
 // objects line by line from a support::LineChannel, shards submits across
-// the shared JobService (per-shard seeds mix_seed(seed, shard) — the same
-// derivation as BatchRunner, so server results are byte-identical to
-// `iddqsyn --jobs N` at the same base seed), and streams every JobEvent
-// back as it happens. Worker threads emit concurrently; the session
-// serializes channel writes internally.
+// the shared JobService (per-shard seeds follow the `iddqsyn --jobs`
+// derivation, shard i at mix_seed(seed, i), so server results are
+// byte-identical to `iddqsyn --jobs N` at the same base seed), and streams
+// every JobEvent back as it happens. Worker threads emit concurrently; the
+// session serializes channel writes internally.
 //
 // Requests (one JSON object per line):
 //   {"op":"submit","id":"t1","circuits":["c17","c1908"],
@@ -43,6 +43,7 @@
 
 #include "core/event_writer.hpp"
 #include "core/job_service.hpp"
+#include "support/submit_request.hpp"
 #include "support/transport.hpp"
 
 namespace iddq::core {
@@ -129,7 +130,7 @@ class JobProtocolSession {
 
   /// Returns true when the line was a shutdown op.
   bool handle_line(const std::string& line);
-  void handle_submit(const struct SubmitRequest& request);
+  void handle_submit(const support::SubmitRequest& request);
   void on_event(const std::shared_ptr<Sweep>& sweep, const JobEvent& event);
   void send_sweep_done(const std::string& id, std::size_t ok,
                        std::size_t failed, std::size_t cancelled);

@@ -256,7 +256,7 @@ void JobService::execute(detail::JobControl& job) {
     // Chain rather than replace the config's default progress sink: the
     // service's event emitter would otherwise shadow it (run_method gives
     // per-run callbacks precedence), silencing e.g. the CLI's --progress
-    // ticker for every BatchRunner-shimmed run.
+    // ticker for every run of an `iddqsyn --jobs` sweep.
     const ProgressCallback config_progress = flow.on_progress;
     sequence.on_progress = [&job,
                             config_progress](const OptimizerProgress& p) {

@@ -1,5 +1,6 @@
-// Job-oriented async execution service — the dispatch point for every run
-// in the system (docs/architecture.md).
+// Job-oriented async execution service — the dispatch point for every
+// sweep: `iddqsyn --jobs`, the job server and the cluster backends
+// (docs/architecture.md).
 //
 // A JobSpec names what to run (circuit spec, method list, seed, budget,
 // cache policy); submit() queues it and returns a JobHandle immediately.
@@ -11,8 +12,10 @@
 // Execution is exactly FlowEngine::run_methods — same per-method derived
 // seeds (Rng::mix_seed(base_seed, method_index)), same section-5 standard
 // coupling, same cache keys — so a job at a given (circuit, methods, seed,
-// budget) is byte-identical to a direct engine call, and BatchRunner is a
-// thin shim over this service (tests/core/test_job_service.cpp pins both).
+// budget) is byte-identical to a direct engine call. `iddqsyn --jobs`
+// submits one job per circuit, circuit i at base seed mix_seed(seed, i)
+// (tests/core/test_job_service.cpp pins such a sweep against a direct
+// engine loop).
 //
 // Cancellation is cooperative: cancel() sets a flag the sequence polls
 // before each method and at every live progress tick (evolution reports

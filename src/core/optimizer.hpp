@@ -92,7 +92,7 @@ struct OptimizerOutcome {
 };
 
 /// Per-method tuning knobs shared by registry factories. The FlowEngine and
-/// BatchRunner carry one of these; the defaults match each wrapped
+/// JobService carry one of these; the defaults match each wrapped
 /// implementation's historical defaults.
 struct OptimizerConfig {
   EsParams es;  // seed/record_trace fields are overridden per request

@@ -15,7 +15,7 @@
 // area are recomputed from the partition on a hit, which reproduces the
 // original MethodResult byte-for-byte (tests/core/test_result_cache.cpp).
 //
-// Thread-safe: BatchRunner workers share one instance. Unparseable lines
+// Thread-safe: JobService workers share one instance. Unparseable lines
 // in the cache file are skipped, so a truncated write (crash mid-append)
 // degrades to a miss, never to corruption.
 #pragma once

@@ -258,7 +258,7 @@ TEST(ClusterClient, MergedStreamIsByteIdenticalToDirectServer) {
   {
     ClusterClient client({b1.endpoint(), b2.endpoint(), b3.endpoint()},
                          lib::library_fingerprint(library), fast_options());
-    SweepRequest request;
+    support::SubmitRequest request;
     request.id = "t";
     request.circuits = circuits;
     request.methods = methods;
@@ -318,7 +318,7 @@ TEST(ClusterClient, ConnectRefusedFailsOverToRingSuccessor) {
   {
     ClusterClient client({dead_endpoint, live.endpoint()},
                          lib::library_fingerprint(library), options);
-    SweepRequest request;
+    support::SubmitRequest request;
     request.id = "r";
     request.circuits = circuits;
     request.methods = methods;
@@ -375,7 +375,7 @@ TEST(ClusterClient, BackendKilledAfterAcceptedBeforeFirstRowRecovers) {
   {
     ClusterClient client({healthy.endpoint(), victim.endpoint()},
                          lib::library_fingerprint(library), options);
-    SweepRequest request;
+    support::SubmitRequest request;
     request.id = "k";
     request.circuits = circuits;
     request.methods = methods;
@@ -432,7 +432,7 @@ TEST(ClusterClient, ExhaustedRetriesSynthesizeFailedTerminals) {
   ClusterClient client({dead1, dead2}, 0x1234, options);
 
   Collector merged;
-  SweepRequest request;
+  support::SubmitRequest request;
   request.id = "x";
   request.circuits = {"ca", "cb"};
   const auto sweep = client.submit_sweep(request, merged.fn());
@@ -462,7 +462,7 @@ TEST(ClusterClient, StatsAndPingAggregateAcrossBackends) {
                        lib::library_fingerprint(library), fast_options());
 
   Collector merged;
-  SweepRequest request;
+  support::SubmitRequest request;
   request.id = "s";
   request.circuits = {"ca", "cb", "cc"};
   request.methods = {"standard"};
@@ -569,7 +569,7 @@ TEST(ClusterClient, HeartbeatOpensBreakerAndHalfOpenReadmits) {
   // Evicted, not erased: a sweep routed while the victim is down lands
   // entirely on the healthy backend and finishes with zero failures.
   Collector merged;
-  SweepRequest request;
+  support::SubmitRequest request;
   request.id = "evicted";
   request.circuits = {"ca", "cb", "cc", "cd"};
   request.methods = {"standard"};

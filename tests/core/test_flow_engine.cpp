@@ -6,10 +6,12 @@
 #include <string>
 #include <vector>
 
-#include "core/flow.hpp"
 #include "core/result_cache.hpp"
+#include "core/start_partition.hpp"
+#include "netlist/gen/iscas_profiles.hpp"
 #include "netlist/gen/random_dag.hpp"
 #include "support/executor.hpp"
+#include "support/rng.hpp"
 
 namespace iddq::core {
 namespace {
@@ -213,20 +215,120 @@ TEST(FlowEngineCoverage, CoverageOptionsChangeTheCacheKey) {
   EXPECT_TRUE(replay.has_coverage);
 }
 
-TEST(FlowResultOverhead, DegenerateZeroAreaReportsZeroWithFlag) {
-  FlowResult result;
-  result.evolution.sensor_area = 0.0;  // e.g. single-module degenerate plan
-  result.standard.sensor_area = 5.0;
-  EXPECT_FALSE(result.overhead_comparable());
-  EXPECT_EQ(result.standard_area_overhead_pct(), 0.0);
+TEST(StandardAreaOverhead, DegenerateZeroAreaReportsZero) {
+  MethodResult evolution;
+  MethodResult standard;
+  evolution.sensor_area = 0.0;  // e.g. single-module degenerate plan
+  standard.sensor_area = 5.0;
+  EXPECT_EQ(standard_area_overhead_pct(evolution, standard), 0.0);
 }
 
-TEST(FlowResultOverhead, NormalCaseMatchesFormula) {
-  FlowResult result;
-  result.evolution.sensor_area = 4.0;
-  result.standard.sensor_area = 5.0;
-  EXPECT_TRUE(result.overhead_comparable());
-  EXPECT_DOUBLE_EQ(result.standard_area_overhead_pct(), 25.0);
+TEST(StandardAreaOverhead, NormalCaseMatchesFormula) {
+  MethodResult evolution;
+  MethodResult standard;
+  evolution.sensor_area = 4.0;
+  standard.sensor_area = 5.0;
+  EXPECT_DOUBLE_EQ(standard_area_overhead_pct(evolution, standard), 25.0);
+}
+
+// The Table-1 flow: evolution at the seed, then the standard baseline at
+// the module sizes the ES found (paper section 5).
+struct FlowRows {
+  SizePlan plan;
+  MethodResult evolution;
+  MethodResult standard;
+};
+
+FlowEngineConfig quick_flow_config() {
+  FlowEngineConfig cfg;
+  cfg.optimizers.es.mu = 4;
+  cfg.optimizers.es.lambda = 4;
+  cfg.optimizers.es.chi = 1;
+  cfg.optimizers.es.max_generations = 40;
+  cfg.optimizers.es.stall_generations = 15;
+  return cfg;
+}
+
+FlowRows run_table1_pair(const netlist::Netlist& nl,
+                         const lib::CellLibrary& library,
+                         const FlowEngineConfig& config) {
+  FlowEngine engine(nl, library, config);
+  FlowEngine::RunOptions options;
+  options.seed = 42;
+  FlowRows rows{engine.plan(), engine.run_method("evolution", options), {}};
+  options.start = &rows.evolution.partition;
+  rows.standard = engine.run_method("standard", options);
+  return rows;
+}
+
+TEST(Flow, EndToEndOnMidSizeCircuit) {
+  const auto nl = netlist::gen::make_random_dag(
+      netlist::gen::DagProfile::basic("flow", 600, 18, 3));
+  const auto library = lib::default_library();
+  const auto result = run_table1_pair(nl, library, quick_flow_config());
+
+  EXPECT_GE(result.plan.module_count, result.plan.k_min_leakage);
+  EXPECT_TRUE(result.evolution.fitness.feasible());
+  EXPECT_TRUE(result.evolution.partition.covers(nl));
+  EXPECT_TRUE(result.standard.partition.covers(nl));
+  EXPECT_GT(result.evolution.sensor_area, 0.0);
+  EXPECT_GT(result.standard.sensor_area, 0.0);
+  EXPECT_EQ(result.evolution.modules.size(), result.evolution.module_count);
+}
+
+TEST(Flow, StandardUsesEvolutionModuleSizes) {
+  const auto nl = netlist::gen::make_random_dag(
+      netlist::gen::DagProfile::basic("flow", 500, 16, 4));
+  const auto library = lib::default_library();
+  const auto result = run_table1_pair(nl, library, quick_flow_config());
+  ASSERT_EQ(result.standard.module_count, result.evolution.module_count);
+  std::vector<std::size_t> evo_sizes;
+  std::vector<std::size_t> std_sizes;
+  for (std::uint32_t m = 0; m < result.evolution.module_count; ++m) {
+    evo_sizes.push_back(result.evolution.partition.module_size(m));
+    std_sizes.push_back(result.standard.partition.module_size(m));
+  }
+  EXPECT_EQ(evo_sizes, std_sizes);
+}
+
+TEST(Flow, EvolutionNoWorseThanStandardOnObjective) {
+  const auto nl = netlist::gen::make_iscas_like("c1908");
+  const auto library = lib::default_library();
+  auto cfg = quick_flow_config();
+  cfg.optimizers.es.max_generations = 80;
+  const auto result = run_table1_pair(nl, library, cfg);
+  EXPECT_FALSE(result.standard.fitness < result.evolution.fitness);
+}
+
+TEST(Flow, AreaOverheadMetric) {
+  const auto nl = netlist::gen::make_random_dag(
+      netlist::gen::DagProfile::basic("flow", 400, 14, 5));
+  const auto library = lib::default_library();
+  const auto result = run_table1_pair(nl, library, quick_flow_config());
+  const double expected =
+      (result.standard.sensor_area / result.evolution.sensor_area - 1.0) *
+      100.0;
+  EXPECT_DOUBLE_EQ(
+      standard_area_overhead_pct(result.evolution, result.standard),
+      expected);
+}
+
+TEST(Flow, EvaluateMethodReportsConsistentNumbers) {
+  const auto nl = netlist::gen::make_random_dag(
+      netlist::gen::DagProfile::basic("flow", 200, 10, 7));
+  const auto library = lib::default_library();
+  const FlowEngineConfig cfg = quick_flow_config();
+  part::EvalContext ctx(nl, library, cfg.sensor, cfg.weights, cfg.rho);
+  Rng rng(1);
+  const auto p = make_start_partition(nl, 2, rng);
+  const auto r = evaluate_method(ctx, "probe", p);
+  EXPECT_EQ(r.method, "probe");
+  EXPECT_EQ(r.module_count, 2u);
+  EXPECT_DOUBLE_EQ(r.delay_overhead, r.costs.c2);
+  EXPECT_DOUBLE_EQ(r.test_overhead, r.costs.c4);
+  double area = 0.0;
+  for (const auto& m : r.modules) area += m.area;
+  EXPECT_NEAR(area, r.sensor_area, 1e-9 * area);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "core/batch_runner.hpp"
 #include "netlist/gen/random_dag.hpp"
 #include "support/error.hpp"
 #include "support/executor.hpp"
@@ -20,8 +19,7 @@
 namespace iddq::core {
 namespace {
 
-// Small synthetic circuits keyed by spec name (same scheme as the batch
-// runner tests); "bad" fails in the loader.
+// Small synthetic circuits keyed by spec name; "bad" fails in the loader.
 netlist::Netlist synthetic_circuit(const std::string& spec) {
   if (spec == "bad") throw Error("synthetic loader: bad circuit");
   const std::size_t gates = 120 + 40 * (spec.back() - 'a');
@@ -161,19 +159,37 @@ TEST(JobService, RunsAJobAndStreamsOrderedEvents) {
   expect_rows_identical(*rows[1]->row, result.rows[1]);
 }
 
-TEST(JobService, ShimBatchRunnerMatchesDirectEngineLoop) {
-  // The acceptance pin: BatchRunner (now a JobService shim) must produce
-  // byte-identical MethodResult rows to the pre-redesign behavior — a
-  // per-circuit FlowEngine::run_methods at mix_seed(base, task_index).
+// Submits one job per circuit at the `iddqsyn --jobs` seeds (circuit i at
+// mix_seed(base_seed, i)) and waits in argument order, as the CLI does.
+std::vector<JobResult> run_sweep(JobService& service,
+                                 const std::vector<std::string>& circuits,
+                                 const std::vector<std::string>& methods,
+                                 std::uint64_t base_seed) {
+  std::vector<JobHandle> handles;
+  for (std::size_t i = 0; i < circuits.size(); ++i) {
+    JobSpec spec;
+    spec.circuit = circuits[i];
+    spec.methods = methods;
+    spec.base_seed = Rng::mix_seed(base_seed, i);
+    handles.push_back(service.submit(std::move(spec)));
+  }
+  std::vector<JobResult> results;
+  for (const auto& handle : handles) results.push_back(handle.wait());
+  return results;
+}
+
+TEST(JobService, SweepMatchesDirectEngineLoop) {
+  // The acceptance pin: a sweep on 3 workers must produce byte-identical
+  // MethodResult rows to a per-circuit FlowEngine::run_methods loop at
+  // mix_seed(base, circuit_index).
   const auto library = lib::default_library();
   const auto config = quick_config();
   const std::vector<std::string> circuits{"ca", "cb", "cc"};
   const std::vector<std::string> methods{"evolution", "random", "standard"};
   const std::uint64_t base_seed = 42;
 
-  BatchRunner runner(library, config);
-  runner.set_circuit_loader(synthetic_circuit);
-  const auto items = runner.run(circuits, methods, base_seed, 3);
+  const auto service = make_service(library, 3, config);
+  const auto items = run_sweep(*service, circuits, methods, base_seed);
   ASSERT_EQ(items.size(), circuits.size());
 
   for (std::size_t i = 0; i < circuits.size(); ++i) {
@@ -184,16 +200,17 @@ TEST(JobService, ShimBatchRunnerMatchesDirectEngineLoop) {
         engine.run_methods(methods, Rng::mix_seed(base_seed, i));
 
     ASSERT_TRUE(items[i].ok());
+    EXPECT_EQ(items[i].circuit, circuits[i]);
     EXPECT_EQ(items[i].plan.module_count, engine.plan().module_count);
-    ASSERT_EQ(items[i].methods.size(), expected.size());
+    ASSERT_EQ(items[i].rows.size(), expected.size());
     for (std::size_t m = 0; m < expected.size(); ++m) {
       SCOPED_TRACE(methods[m]);
-      expect_rows_identical(items[i].methods[m], expected[m]);
+      expect_rows_identical(items[i].rows[m], expected[m]);
     }
   }
 }
 
-TEST(JobService, ShimWithSharedPoolMatchesDirectSerialEngineLoop) {
+TEST(JobService, SweepWithSharedPoolMatchesDirectSerialEngineLoop) {
   // The re-pin with intra-run parallelism on: N jobs x M threads share ONE
   // ExecutorPool through FlowEngineConfig, and the rows must still be
   // byte-identical to a plain single-threaded per-circuit engine loop.
@@ -205,9 +222,8 @@ TEST(JobService, ShimWithSharedPoolMatchesDirectSerialEngineLoop) {
   const std::vector<std::string> methods{"evolution", "tabu", "standard"};
   const std::uint64_t base_seed = 42;
 
-  BatchRunner runner(library, threaded);
-  runner.set_circuit_loader(synthetic_circuit);
-  const auto items = runner.run(circuits, methods, base_seed, 3);
+  const auto service = make_service(library, 3, threaded);
+  const auto items = run_sweep(*service, circuits, methods, base_seed);
   ASSERT_EQ(items.size(), circuits.size());
 
   support::ExecutorPool serial(1);
@@ -220,11 +236,34 @@ TEST(JobService, ShimWithSharedPoolMatchesDirectSerialEngineLoop) {
     const auto expected =
         engine.run_methods(methods, Rng::mix_seed(base_seed, i));
     ASSERT_TRUE(items[i].ok());
-    ASSERT_EQ(items[i].methods.size(), expected.size());
+    ASSERT_EQ(items[i].rows.size(), expected.size());
     for (std::size_t m = 0; m < expected.size(); ++m) {
       SCOPED_TRACE(methods[m]);
-      expect_rows_identical(items[i].methods[m], expected[m]);
+      expect_rows_identical(items[i].rows[m], expected[m]);
     }
+  }
+}
+
+TEST(JobService, TaskFailureIsIsolated) {
+  const auto library = lib::default_library();
+  const auto service = make_service(library, 2, quick_config());
+  const auto items = run_sweep(*service, {"ca", "bad", "cb"}, {"standard"}, 1);
+  ASSERT_EQ(items.size(), 3u);
+  EXPECT_TRUE(items[0].ok());
+  EXPECT_FALSE(items[1].ok());
+  EXPECT_NE(items[1].error.find("bad circuit"), std::string::npos);
+  EXPECT_TRUE(items[2].ok());
+}
+
+TEST(JobService, UnknownMethodIsReportedPerTask) {
+  const auto library = lib::default_library();
+  const auto service = make_service(library, 1, quick_config());
+  const auto items =
+      run_sweep(*service, {"ca", "cb"}, {"standard", "no-such-method"}, 1);
+  ASSERT_EQ(items.size(), 2u);
+  for (const auto& item : items) {
+    EXPECT_EQ(item.state, JobState::failed);
+    EXPECT_NE(item.error.find("unknown optimizer"), std::string::npos);
   }
 }
 

@@ -6,8 +6,8 @@
 Checks, in order:
 
   1. Comparability: both files must be the same bench with the same
-     `fast` budget and `seconds_kind` (per_circuit vs sweep_offset rows
-     time different things; threads may differ — rows are thread-
+     `fast` budget and `seconds_kind` (rows of another kind time
+     different things; threads may differ — rows are thread-
      invariant by the determinism contract, which is exactly what this
      script verifies).
   2. Row identity: rows are paired by `circuit`, not by position, and

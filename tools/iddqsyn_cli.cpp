@@ -12,70 +12,11 @@
 //                         e.g. big_dag10k), or an array multiplier mult<N>
 //                         (width 2..64, e.g. mult64)
 //
-// Options:
-//   --method NAMES        comma-separated optimizer specs from the registry
-//                         (default: evolution,standard). Specs may compose
-//                         stages with '+', e.g. evolution+greedy, or race a
-//                         list on a shared budget with portfolio:, e.g.
-//                         portfolio:evolution,annealing. Because portfolio
-//                         specs contain commas, use ';' to separate methods
-//                         when mixing them: --method "evolution;portfolio:
-//                         evolution,annealing".
-//   --jobs N              run circuits on N worker threads (default 1);
-//                         results are identical for any N
-//   --threads N           intra-run parallelism (default 1, or the
-//                         IDDQ_THREADS environment variable): evaluate ES
-//                         descendants and tabu candidate sets, and race
-//                         portfolio members, on a shared N-thread pool;
-//                         results are byte-identical for any N
-//   --cache-dir DIR       content-addressed result cache: look up every
-//                         (circuit, method, seed, budget) point in DIR
-//                         before running it and store new results there
-//                         (see docs/caching.md); prints hit/miss stats to
-//                         stderr at the end (including corrupt-line counts
-//                         when the cache file has degraded)
-//   --no-cache            disable the cache even when --cache-dir is given
-//   --cache-stats DIR     inspect DIR/results.jsonl (entries, duplicate
-//                         keys, corrupt lines, hit-age histogram) and exit.
-//                         With --submit ENDPOINT the DIR is ignored (pass
-//                         "-"): the cache counters of the remote server —
-//                         or the aggregate of an iddqsyn_cluster front-end
-//                         — are fetched over the protocol's stats op
-//   --cache-compact DIR   rewrite DIR/results.jsonl keeping only the last
-//                         row per key, and exit
-//   --pareto              after the summary rows, print each circuit's
-//                         Pareto frontier over (relative sensor-area
-//                         overhead, measured fault coverage) across the
-//                         requested methods; needs --coverage
-//                         (docs/coverage.md)
-//   --submit ENDPOINT     client mode: send the job to an iddqsyn_server
-//                         instead of running locally; ENDPOINT is a unix
-//                         socket path, or host:port for a --listen TCP
-//                         server (anything whose last ':'-suffix is a
-//                         valid port parses as TCP). Rows stream back as
-//                         they complete (docs/server.md)
-//   --stall-ms N          (--submit only) sleep N ms after submitting
-//                         before reading any events — a deliberately slow
-//                         reader for backpressure tests and the stress
-//                         harness (tools/ci.sh stress)
-//   --progress            stream optimizer progress to stderr (live per-
-//                         generation/per-step ticks)
-//   --list-methods        print the registered optimizer names and exit
-//   -o FILE               write the first method's partition to FILE
-//                         (single-circuit runs only)
-//   --lib FILE            load a cell library (default: built-in 5V CMOS)
-//   --rail MV             virtual-rail perturbation limit r (default 200)
-//   --disc D              required discriminability d (default 10)
-//   --seed N              base seed (default 42); per-circuit/method seeds
-//                         are derived deterministically from it
-//   --generations N       ES generation cap (default 350, must be >= 1)
-//   --retime              run partition-aware wave retiming afterwards
-//                         (single-circuit runs only)
-//   --quiet               only print the summary rows
-//   --help                this text
+// Options: run `iddqsyn --help` for the list.
 //
 // One summary row is printed per (circuit, method) pair, in argument order.
 // Exit code 0 on success, 1 on bad usage, 2 on flow errors.
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -85,8 +26,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/batch_runner.hpp"
 #include "core/flow_engine.hpp"
+#include "core/job_service.hpp"
 #include "core/result_cache.hpp"
 #include "core/resynth.hpp"
 #include "library/cell_library.hpp"
@@ -308,22 +249,27 @@ std::optional<CliOptions> parse(int argc, char** argv) {
       opts.lib_path = *v;
     } else if (arg == "--rail") {
       const auto v = need_value("--rail");
-      if (!v || !str::parse_double(*v, opts.rail_mv)) return std::nullopt;
-      if (opts.rail_mv <= 0.0) {
+      if (!v) return std::nullopt;
+      if (!str::parse_double(*v, opts.rail_mv) || !(opts.rail_mv > 0.0)) {
         std::cerr << "iddqsyn: --rail must be > 0 mV (got " << *v << ")\n";
         return std::nullopt;
       }
     } else if (arg == "--disc") {
       const auto v = need_value("--disc");
-      if (!v || !str::parse_double(*v, opts.disc)) return std::nullopt;
-      if (opts.disc <= 0.0) {
+      if (!v) return std::nullopt;
+      if (!str::parse_double(*v, opts.disc) || !(opts.disc > 0.0)) {
         std::cerr << "iddqsyn: --disc must be > 0 (got " << *v << ")\n";
         return std::nullopt;
       }
     } else if (arg == "--seed") {
       const auto v = need_value("--seed");
+      if (!v) return std::nullopt;
       std::size_t seed = 0;
-      if (!v || !str::parse_size(*v, seed)) return std::nullopt;
+      if (!str::parse_size(*v, seed)) {
+        std::cerr << "iddqsyn: --seed must be an unsigned integer (got " << *v
+                  << ")\n";
+        return std::nullopt;
+      }
       opts.seed = seed;
     } else if (arg == "--generations") {
       const auto v = need_value("--generations");
@@ -461,11 +407,11 @@ void print_pareto_front(std::ostream& os, const std::string& circuit,
 
 // Retiming + partition writing only apply to single-circuit runs; they act
 // on the first method's partition, matching the historical CLI.
-int finish_single_circuit(const CliOptions& opts, const core::BatchItem& item,
+int finish_single_circuit(const CliOptions& opts, const core::JobResult& item,
                           const lib::CellLibrary& library) {
   if (!opts.output_path && !opts.retime) return 0;  // nothing left to do
   const auto nl = netlist::load_circuit(opts.circuits.front());
-  auto partition = item.methods.front().partition;
+  auto partition = item.rows.front().partition;
   const netlist::Netlist* final_nl = &nl;
   netlist::Netlist retimed_nl;  // populated only with --retime
   if (opts.retime) {
@@ -677,7 +623,7 @@ int main(int argc, char** argv) {
     config.coverage.minimize = opts->minimize_patterns;
 
     // One pool shared by all --jobs workers (bounded fan-out); declared
-    // before the runner so it outlives every optimizer run.
+    // before the service so it outlives every optimizer run.
     support::ExecutorPool pool(
         support::ExecutorPool::from_option(opts->threads));
     config.pool = &pool;
@@ -701,12 +647,25 @@ int main(int argc, char** argv) {
       };
     }
 
-    const core::BatchRunner runner(library, config);
-    const auto items =
-        runner.run(opts->circuits, opts->methods, opts->seed, opts->jobs);
+    // One job per circuit. Circuit i runs at base seed mix_seed(seed, i),
+    // derived from its index alone, so the rows are the same for any
+    // --jobs; waiting in argument order keeps the output order fixed.
+    core::JobServiceConfig service_config;
+    service_config.workers = std::min(opts->jobs, opts->circuits.size());
+    service_config.flow = std::move(config);
+    core::JobService service(library, std::move(service_config));
+    std::vector<core::JobHandle> handles;
+    for (std::size_t i = 0; i < opts->circuits.size(); ++i) {
+      core::JobSpec spec;
+      spec.circuit = opts->circuits[i];
+      spec.methods = opts->methods;
+      spec.base_seed = Rng::mix_seed(opts->seed, i);
+      handles.push_back(service.submit(std::move(spec)));
+    }
 
     bool failed = false;
-    for (const auto& item : items) {
+    for (const auto& handle : handles) {
+      const core::JobResult& item = handle.wait();
       if (!item.ok()) {
         failed = true;
         std::cerr << "iddqsyn: " << item.circuit << ": " << item.error
@@ -718,9 +677,9 @@ int main(int argc, char** argv) {
                   << " planned (leakage bound " << item.plan.k_min_leakage
                   << ", target module size " << item.plan.target_module_size
                   << ")\n";
-      for (const auto& r : item.methods)
+      for (const auto& r : item.rows)
         print_method_row(std::cout, item.circuit, r);
-      if (opts->pareto) print_pareto_front(std::cout, item.circuit, item.methods);
+      if (opts->pareto) print_pareto_front(std::cout, item.circuit, item.rows);
     }
     if (cache) {
       const auto hits = cache->hits();
@@ -748,7 +707,7 @@ int main(int argc, char** argv) {
     if (failed) return 2;
 
     if (opts->circuits.size() == 1)
-      return finish_single_circuit(*opts, items.front(), library);
+      return finish_single_circuit(*opts, handles.front().wait(), library);
     return 0;
   } catch (const Error& e) {
     std::cerr << "iddqsyn: " << e.what() << "\n";

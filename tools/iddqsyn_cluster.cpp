@@ -16,26 +16,7 @@
 // Usage:
 //   iddqsyn_cluster --backend ENDPOINT [--backend ENDPOINT ...] [options]
 //
-// Options:
-//   --backend E      backend endpoint (host:port or unix socket path);
-//                    repeat once per backend — at least one required
-//   --pipe           serve exactly one session on stdin/stdout (default)
-//   --socket PATH    listen on a unix-domain socket instead
-//   --listen H:P     listen on a TCP host:port (port 0 = ephemeral,
-//                    announced on stderr)
-//   --replicas N     virtual nodes per backend on the hash ring
-//                    (default 64)
-//   --retry N        dispatch attempts per shard before it fails
-//                    (default 3)
-//   --backoff-ms MS  base retry backoff, doubled per attempt, 16x cap
-//                    (default 200)
-//   --session-queue N  per-session outbound event-queue bound
-//                    (default 1024; 0 = unbounded), same overflow policy
-//                    as the server (docs/server.md, "Backpressure")
-//   --lib FILE       cell library (default: built-in 5V CMOS) — feeds the
-//                    routing fingerprint; must match the backends' library
-//                    for cache affinity (results never depend on it)
-//   --help           this text
+// Options: run `iddqsyn_cluster --help` for the list.
 //
 // The front-end holds no result state: `stats` and `ping` fan out to every
 // backend and return an aggregate (summed counters + per_backend array).
@@ -62,6 +43,7 @@
 #include "support/fault_plan.hpp"
 #include "support/json.hpp"
 #include "support/strings.hpp"
+#include "support/submit_request.hpp"
 #include "support/transport.hpp"
 
 namespace {
@@ -304,59 +286,14 @@ class ClusterSession {
   }
 
   void handle_submit(const json::JsonValue& request) {
-    cluster::SweepRequest sweep_request;
-    sweep_request.id = request.get_string("id");
-    if (sweep_request.id.empty())
-      sweep_request.id = "job-" + std::to_string(++auto_id_);
-    if (const json::JsonValue* circuits = request.find("circuits")) {
-      for (const auto& c : circuits->items())
-        if (c.is_string()) sweep_request.circuits.push_back(c.as_string());
-    } else if (const json::JsonValue* one = request.find("circuit")) {
-      if (one->is_string())
-        sweep_request.circuits.push_back(one->as_string());
-    }
-    if (const json::JsonValue* methods = request.find("methods")) {
-      sweep_request.methods.clear();
-      for (const auto& m : methods->items())
-        if (m.is_string()) sweep_request.methods.push_back(m.as_string());
-    }
-    sweep_request.seed = request.get_u64("seed", 1);
-    if (const json::JsonValue* seeds = request.find("seeds")) {
-      for (const auto& s : seeds->items()) {
-        std::uint64_t value = 0;
-        if (!s.as_u64(value)) {
-          send_error("submit: \"seeds\" must be an array of unsigned "
-                     "64-bit integers",
-                     sweep_request.id);
-          return;
-        }
-        sweep_request.seeds.push_back(value);
-      }
-    }
-    sweep_request.budget =
-        static_cast<std::size_t>(request.get_u64("budget", 0));
-    sweep_request.use_cache = request.get_bool("cache", true);
-    sweep_request.priority =
-        static_cast<int>(request.get_double("priority", 0.0));
-    sweep_request.deadline_ms =
-        static_cast<std::size_t>(request.get_u64("deadline_ms", 0));
-    if (sweep_request.circuits.empty()) {
-      send_error("submit: needs \"circuits\" (or \"circuit\")",
-                 sweep_request.id);
-      return;
-    }
-    if (sweep_request.methods.empty()) {
-      send_error("submit: needs at least one method", sweep_request.id);
-      return;
-    }
-    if (!sweep_request.seeds.empty() &&
-        sweep_request.seeds.size() != sweep_request.circuits.size()) {
-      send_error("submit: \"seeds\" must have one entry per circuit (" +
-                     std::to_string(sweep_request.seeds.size()) +
-                     " seeds for " +
-                     std::to_string(sweep_request.circuits.size()) +
-                     " circuits)",
-                 sweep_request.id);
+    std::string id = request.get_string("id");
+    if (id.empty()) id = "job-" + std::to_string(++auto_id_);
+    support::SubmitRequest sweep_request;
+    try {
+      // No default deadline: 0 omits the field from the backend submits.
+      sweep_request = support::parse_submit_request(request, id, 0);
+    } catch (const Error& e) {
+      send_error(e.what(), id);
       return;
     }
     {

@@ -10,45 +10,7 @@
 // Usage:
 //   iddqsyn_server [options]
 //
-// Options:
-//   --pipe            serve exactly one session on stdin/stdout (default;
-//                     handy under a test harness or an ssh pipe)
-//   --socket PATH     listen on a unix-domain socket instead; one session
-//                     per connection, concurrently
-//   --listen H:P      listen on a TCP host:port instead (port 0 picks an
-//                     ephemeral port, announced on stderr); same protocol
-//                     bytes as the unix-socket path
-//   --workers N       JobService worker threads (default: hardware
-//                     concurrency)
-//   --threads N       intra-job parallelism: one shared ExecutorPool for
-//                     ES/tabu candidate evaluation and portfolio racing
-//                     across ALL workers (default 1 = serial; results are
-//                     byte-identical for any N)
-//   --max-queue N     reject submits once N jobs are queued (protocol
-//                     `error` event; default 0 = unbounded)
-//   --session-queue N  per-session outbound event-queue bound (default
-//                     1024; 0 = unbounded). Overflow drops oldest progress
-//                     ticks; a must-deliver overflow disconnects the
-//                     session with a protocol `error` (docs/server.md)
-//   --max-jobs-per-session N  reject submits that would put more than N of
-//                     one session's jobs in flight (default 0 = unlimited)
-//   --cache-idle-evict SEC  evict in-memory cache entries idle for SEC
-//                     seconds (disk entries reload transparently)
-//   --cache-dir DIR   content-addressed result cache (docs/caching.md)
-//   --cache-resident N  cap the cache's in-memory map at N entries; older
-//                     entries spill to disk and reload on demand
-//   --coverage        grade every result row by measured IDDQ fault
-//                     coverage (docs/coverage.md); rows gain coverage
-//                     fields in the protocol stream
-//   --fault-model SPEC  injected fault population: mixed | bridges |
-//                     shorts | bridges=N[,shorts=M] (default mixed)
-//   --patterns N      test patterns per coverage run (default 256)
-//   --minimize-patterns  greedy set-cover pattern minimization
-//   --lib FILE        cell library (default: built-in 5V CMOS)
-//   --rail MV         virtual-rail perturbation limit r (default 200)
-//   --disc D          required discriminability d (default 10)
-//   --generations N   ES generation cap (default 350)
-//   --help            this text
+// Options: run `iddqsyn_server --help` for the list.
 //
 // A client "shutdown" op stops the whole server (pipe mode: ends the
 // session); EOF on a connection ends only that session. Determinism: a
