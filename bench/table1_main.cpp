@@ -45,7 +45,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -61,71 +60,45 @@
 #include "report/pareto.hpp"
 #include "report/table.hpp"
 #include "support/executor.hpp"
+#include "support/flags.hpp"
 #include "support/json.hpp"
-#include "support/strings.hpp"
 
 int main(int argc, char** argv) {
   using namespace iddq;
-  const char* cache_dir = std::getenv("IDDQ_CACHE_DIR");
   std::size_t threads = support::ExecutorPool::env_threads();
   std::optional<std::string> json_path;
   bool coverage = false;
   bool pareto = false;
   std::string tier = "table1";
   std::optional<std::string> only;
-  const auto usage = [] {
-    std::cerr << "usage: bench_table1 [cache-dir] [--threads N] "
-                 "[--json FILE] [--coverage] [--pareto] "
-                 "[--tier table1|big] [--only CIRCUIT]\n";
-  };
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      if (i + 1 >= argc || !str::parse_size(argv[++i], threads) ||
-          threads == 0) {
-        std::cerr << "bench_table1: --threads needs a count >= 1\n";
-        usage();
-        return 1;
-      }
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "bench_table1: --json needs a file path\n";
-        usage();
-        return 1;
-      }
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--coverage") == 0) {
-      coverage = true;
-    } else if (std::strcmp(argv[i], "--pareto") == 0) {
-      pareto = true;
-    } else if (std::strcmp(argv[i], "--tier") == 0) {
-      const char* name = i + 1 < argc ? argv[++i] : "";
-      if (std::strcmp(name, "table1") != 0 && std::strcmp(name, "big") != 0) {
-        std::cerr << "bench_table1: --tier must be 'table1' or 'big'\n";
-        usage();
-        return 1;
-      }
-      tier = name;
-    } else if (std::strcmp(argv[i], "--only") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "bench_table1: --only needs a circuit name\n";
-        usage();
-        return 1;
-      }
-      only = argv[++i];
-    } else if (std::strncmp(argv[i], "--", 2) == 0) {
-      std::cerr << "bench_table1: unknown option '" << argv[i] << "'\n";
-      usage();
-      return 1;
-    } else {
-      cache_dir = argv[i];
-    }
-  }
-  if (pareto && !coverage) {
-    std::cerr << "bench_table1: --pareto needs --coverage (its coverage "
-                 "axis comes from fault grading)\n";
-    usage();
-    return 1;
-  }
+  std::vector<std::string> cache_dirs;
+  support::FlagTable flags("bench_table1", "[options] [cache-dir]");
+  flags
+      .size("--threads", "N",
+            "shared ExecutorPool threads (default 1 or IDDQ_THREADS; "
+            "identical rows for any N)",
+            threads, 1)
+      .text("--json", "FILE", "also write the rows as JSON to FILE",
+            json_path)
+      .flag("--coverage",
+            "grade every partition by measured IDDQ fault coverage",
+            coverage)
+      .flag("--pareto",
+            "print each circuit's Pareto frontier; needs --coverage", pareto)
+      .text("--tier", "NAME", "circuit set: table1 | big (default table1)",
+            tier)
+      .text("--only", "CIRCUIT", "sweep one circuit of the tier", only)
+      .positional(cache_dirs);
+  if (const auto code = flags.parse(argc, argv)) return *code;
+  if (tier != "table1" && tier != "big")
+    return flags.usage_error("--tier must be 'table1' or 'big'");
+  if (pareto && !coverage)
+    return flags.usage_error(
+        "--pareto needs --coverage (its coverage axis comes from fault "
+        "grading)");
+  const char* cache_dir =
+      cache_dirs.empty() ? std::getenv("IDDQ_CACHE_DIR")
+                         : cache_dirs.back().c_str();
   const bool big_tier = tier == "big";
   if (big_tier) {
     std::cout << "=== BIG tier: evolution-based vs standard partitioning "

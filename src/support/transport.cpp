@@ -358,7 +358,7 @@ std::unique_ptr<FdChannel> connect_endpoint(const std::string& spec) {
 }
 
 std::optional<std::pair<std::string, std::uint16_t>> parse_host_port(
-    std::string_view spec) {
+    std::string_view spec, bool allow_port_zero) {
   const std::size_t colon = spec.rfind(':');
   if (colon == std::string_view::npos || colon == 0 ||
       colon + 1 == spec.size())
@@ -368,7 +368,7 @@ std::optional<std::pair<std::string, std::uint16_t>> parse_host_port(
   const auto [end, ec] = std::from_chars(
       port_text.data(), port_text.data() + port_text.size(), port);
   if (ec != std::errc{} || end != port_text.data() + port_text.size() ||
-      port == 0 || port > 65535)
+      (port == 0 && !allow_port_zero) || port > 65535)
     return std::nullopt;
   return std::make_pair(std::string(spec.substr(0, colon)),
                         static_cast<std::uint16_t>(port));

@@ -204,8 +204,10 @@ class TcpSocketListener final : public SocketListener {
 /// Splits "host:port" into its parts when — and only when — the text after
 /// the LAST ':' is a valid port number (1..65535). Anything else (a unix
 /// socket path, a trailing colon, port 0) returns nullopt, which is how
-/// `--submit` and `--listen` distinguish TCP endpoints from socket paths.
+/// `--submit` and `--backend` distinguish TCP endpoints from socket paths.
+/// `allow_port_zero` also accepts port 0, the ephemeral port a listener
+/// (`--listen host:0`) asks the kernel for.
 [[nodiscard]] std::optional<std::pair<std::string, std::uint16_t>>
-parse_host_port(std::string_view spec);
+parse_host_port(std::string_view spec, bool allow_port_zero = false);
 
 }  // namespace iddq::support

@@ -1,31 +1,40 @@
 #!/usr/bin/env sh
-# Checks that docs/methods.md and the optimizer registry cannot drift:
+# Checks that the docs cannot drift from the tools:
 #  * every name printed by `iddqsyn --list-methods` has a `## `name``
-#    section in docs/methods.md;
-#  * every `## `name`` section (except the `portfolio:` spec family)
-#    names a registered optimizer;
-#  * every coverage flag the CLI's --help advertises is documented in
-#    docs/coverage.md (same drift guard, different page).
+#    section in docs/methods.md, and every such section (except the
+#    `portfolio:` spec family) names a registered optimizer;
+#  * every flag that the generated --help of iddqsyn, iddqsyn_server or
+#    iddqsyn_cluster lists appears in README.md or docs/*.md;
+#  * each flag family is documented on its home page, and most also in
+#    the README flag table (the `need` lines below).
 #
-#   $ tools/check_docs.sh path/to/iddqsyn
+#   $ tools/check_docs.sh path/to/iddqsyn path/to/iddqsyn_server \
+#       path/to/iddqsyn_cluster
 set -eu
 
-exe="$1"
-docs="$(dirname "$0")/../docs/methods.md"
-[ -f "$docs" ] || { echo "check_docs: $docs not found"; exit 1; }
-
-names="$("$exe" --list-methods | sed -n 's/^registered optimizers: *//p')"
-[ -n "$names" ] || { echo "check_docs: --list-methods printed no names"; exit 1; }
-
+[ $# -eq 3 ] || {
+  echo "usage: check_docs.sh IDDQSYN IDDQSYN_SERVER IDDQSYN_CLUSTER"; exit 1; }
+root="$(dirname "$0")/.."
 status=0
-for name in $names; do
-  if ! grep -q "^## \`$name\`" "$docs"; then
-    echo "check_docs: docs/methods.md is missing a section for '$name'"
-    status=1
-  fi
-done
 
-for doc in $(sed -n 's/^## `\([a-z:+]*\)`.*/\1/p' "$docs"); do
+# need PAGE TEXT...: every TEXT must appear in PAGE (a path under root).
+need() {
+  page="$1"
+  shift
+  for text in "$@"; do
+    if ! grep -q -e "$text" "$root/$page" 2> /dev/null; then
+      echo "check_docs: '$text' is missing from $page"
+      status=1
+    fi
+  done
+}
+
+names="$("$1" --list-methods | sed -n 's/^registered optimizers: *//p')"
+[ -n "$names" ] || { echo "check_docs: --list-methods printed no names"; exit 1; }
+for name in $names; do
+  need docs/methods.md "^## \`$name\`"
+done
+for doc in $(sed -n 's/^## `\([a-z:+]*\)`.*/\1/p' "$root/docs/methods.md"); do
   case "$doc" in
     portfolio:*|portfolio:) continue ;;  # spec family, not a registry name
   esac
@@ -35,114 +44,50 @@ for doc in $(sed -n 's/^## `\([a-z:+]*\)`.*/\1/p' "$docs"); do
   fi
 done
 
-coverage_docs="$(dirname "$0")/../docs/coverage.md"
-[ -f "$coverage_docs" ] || {
-  echo "check_docs: $coverage_docs not found"; exit 1; }
+# Coverage grading and cache residency live in docs/coverage.md or
+# docs/caching.md.
 for flag in --coverage --fault-model --patterns --minimize-patterns \
     --cache-resident; do
-  if ! grep -q -e "$flag" "$coverage_docs" \
-      && ! grep -q -e "$flag" "$(dirname "$0")/../docs/caching.md"; then
+  if ! grep -q -e "$flag" "$root/docs/coverage.md" \
+      && ! grep -q -e "$flag" "$root/docs/caching.md"; then
     echo "check_docs: '$flag' is undocumented (docs/coverage.md, docs/caching.md)"
     status=1
   fi
 done
 
-# The server's transport + traffic-hardening surface must be documented
-# in docs/server.md (and surfaced in the README flag table).
-server_docs="$(dirname "$0")/../docs/server.md"
-readme="$(dirname "$0")/../README.md"
-[ -f "$server_docs" ] || {
-  echo "check_docs: $server_docs not found"; exit 1; }
-for flag in --listen --submit --session-queue --max-jobs-per-session \
-    --cache-idle-evict; do
-  if ! grep -q -e "$flag" "$server_docs"; then
-    echo "check_docs: '$flag' is undocumented in docs/server.md"
-    status=1
-  fi
-  if ! grep -q -e "$flag" "$readme"; then
-    echo "check_docs: '$flag' is missing from the README flag table"
-    status=1
-  fi
-done
+# Server transport and traffic hardening, the Pareto mode, the bench
+# tiers, the cluster's routing/failover knobs and the robustness surface
+# (deadlines, breaker, drain), each on its home page and in the README.
+server="--listen --submit --session-queue --max-jobs-per-session"
+server="$server --cache-idle-evict"
+cluster="--backend --replicas --retry --backoff-ms"
+robustness="--job-timeout-ms --drain-timeout-ms --heartbeat-ms"
+robustness="$robustness --breaker-threshold --breaker-cooldown-ms"
+# (The lists are left unquoted so they split into one flag each.)
+need docs/server.md $server --job-timeout-ms --drain-timeout-ms
+need docs/coverage.md --pareto
+need docs/architecture.md "--tier big"
+need docs/cluster.md $cluster --heartbeat-ms --breaker-threshold \
+  --breaker-cooldown-ms
+need docs/robustness.md $robustness IDDQ_FAULT_PLAN
+need README.md $server --pareto --tier --only $cluster $robustness
 
-# The Pareto reporting mode lives with the coverage docs it depends on.
-for flag in --pareto; do
-  if ! grep -q -e "$flag" "$coverage_docs"; then
-    echo "check_docs: '$flag' is undocumented in docs/coverage.md"
-    status=1
-  fi
-  if ! grep -q -e "$flag" "$readme"; then
-    echo "check_docs: '$flag' is missing from the README flag table"
-    status=1
-  fi
+# Every flag a tool's --help lists (generated from its flag table) must be
+# documented somewhere; a flag name only matches whole, so --patterns does
+# not vouch for --patterns-x.
+for tool_exe in "$@"; do
+  tool="$(basename "$tool_exe")"
+  flags="$("$tool_exe" --help | sed -n 's/^  \(-[-a-z0-9]*\).*/\1/p')"
+  [ -n "$flags" ] || {
+    echo "check_docs: $tool --help lists no flags"; status=1; }
+  for flag in $flags; do
+    if ! grep -Eq -e "(^|[^a-z0-9-])$flag([^a-z0-9-]|\$)" "$root/README.md" \
+        "$root"/docs/*.md; then
+      echo "check_docs: $tool $flag is documented in neither README.md nor docs/*.md"
+      status=1
+    fi
+  done
 done
-
-# The bench tiers (bench_table1_main --tier/--only) must be documented
-# in the README's bench section and docs/architecture.md's big-circuit
-# scaling section.
-arch_docs="$(dirname "$0")/../docs/architecture.md"
-[ -f "$arch_docs" ] || {
-  echo "check_docs: $arch_docs not found"; exit 1; }
-for flag in --tier --only; do
-  if ! grep -q -e "$flag" "$readme"; then
-    echo "check_docs: '$flag' is missing from the README bench section"
-    status=1
-  fi
-done
-if ! grep -q -e "--tier big" "$arch_docs"; then
-  echo "check_docs: '--tier big' is undocumented in docs/architecture.md"
-  status=1
-fi
-
-# The cluster front-end's routing/failover knobs must be documented in
-# docs/cluster.md (and surfaced in the README flag table).
-cluster_docs="$(dirname "$0")/../docs/cluster.md"
-[ -f "$cluster_docs" ] || {
-  echo "check_docs: $cluster_docs not found"; exit 1; }
-for flag in --backend --replicas --retry --backoff-ms; do
-  if ! grep -q -e "$flag" "$cluster_docs"; then
-    echo "check_docs: '$flag' is undocumented in docs/cluster.md"
-    status=1
-  fi
-  if ! grep -q -e "$flag" "$readme"; then
-    echo "check_docs: '$flag' is missing from the README flag table"
-    status=1
-  fi
-done
-
-# The robustness surface (deadlines, breaker, drain) must be documented
-# in docs/robustness.md, cross-linked from its home page, and surfaced
-# in the README flag table.
-robustness_docs="$(dirname "$0")/../docs/robustness.md"
-[ -f "$robustness_docs" ] || {
-  echo "check_docs: $robustness_docs not found"; exit 1; }
-for flag in --job-timeout-ms --drain-timeout-ms --heartbeat-ms \
-    --breaker-threshold --breaker-cooldown-ms; do
-  if ! grep -q -e "$flag" "$robustness_docs"; then
-    echo "check_docs: '$flag' is undocumented in docs/robustness.md"
-    status=1
-  fi
-  if ! grep -q -e "$flag" "$readme"; then
-    echo "check_docs: '$flag' is missing from the README flag table"
-    status=1
-  fi
-done
-for flag in --job-timeout-ms --drain-timeout-ms; do
-  if ! grep -q -e "$flag" "$server_docs"; then
-    echo "check_docs: '$flag' is undocumented in docs/server.md"
-    status=1
-  fi
-done
-for flag in --heartbeat-ms --breaker-threshold --breaker-cooldown-ms; do
-  if ! grep -q -e "$flag" "$cluster_docs"; then
-    echo "check_docs: '$flag' is undocumented in docs/cluster.md"
-    status=1
-  fi
-done
-if ! grep -q "IDDQ_FAULT_PLAN" "$robustness_docs"; then
-  echo "check_docs: IDDQ_FAULT_PLAN grammar is missing from docs/robustness.md"
-  status=1
-fi
 
 [ "$status" -eq 0 ] && echo "check_docs: docs match the CLI surface"
 exit $status

@@ -31,15 +31,15 @@
 #include "core/result_cache.hpp"
 #include "core/resynth.hpp"
 #include "library/cell_library.hpp"
-#include "library/lib_io.hpp"
 #include "netlist/circuit_loader.hpp"
 #include "netlist/stats.hpp"
 #include "partition/partition_io.hpp"
 #include "report/pareto.hpp"
 #include "report/table.hpp"
-#include "sim/coverage.hpp"
+#include "shared_flags.hpp"
 #include "support/error.hpp"
 #include "support/executor.hpp"
+#include "support/flags.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
@@ -53,74 +53,20 @@ struct CliOptions {
   std::vector<std::string> circuits;
   std::vector<std::string> methods{"evolution", "standard"};
   std::size_t jobs = 1;
-  std::size_t threads = 0;  // 0 = IDDQ_THREADS default (1 when unset)
-  std::optional<std::string> cache_dir;
+  tools::EngineFlags engine;
   bool no_cache = false;
-  std::size_t cache_resident = 0;  // 0 = unbounded residency
   std::optional<std::string> cache_stats_dir;
   std::optional<std::string> cache_compact_dir;
-  bool coverage = false;
-  std::string fault_model = "mixed";
-  std::size_t patterns = 256;
-  bool minimize_patterns = false;
   bool pareto = false;
   std::optional<std::string> submit_socket;
   std::size_t stall_ms = 0;  // test hook: delay before draining events
   std::size_t deadline_ms = 0;  // per-job deadline shipped with the submit
   bool progress = false;
   std::optional<std::string> output_path;
-  std::optional<std::string> lib_path;
-  double rail_mv = 200.0;
-  double disc = 10.0;
   std::uint64_t seed = 42;
-  std::size_t generations = 350;
   bool retime = false;
   bool quiet = false;
 };
-
-void print_usage(std::ostream& os) {
-  os << "usage: iddqsyn [options] <circuit.bench | c17 | c1908 | c2670 | "
-        "c3540 | c5315 | c6288 | c7552 | ila<R>x<C> | big_dag<N>k | "
-        "mult<N>> [<circuit> ...]\n"
-        "  --method NAMES   comma-separated optimizer specs "
-        "(default: evolution,standard)\n"
-        "  --jobs N         worker threads over circuits (default 1)\n"
-        "  --threads N      intra-run thread pool (default 1 or "
-        "IDDQ_THREADS; identical results for any N)\n"
-        "  --cache-dir DIR  content-addressed result cache (docs/caching.md)\n"
-        "  --no-cache       disable the cache even with --cache-dir\n"
-        "  --cache-resident N   cap in-memory cache entries (LRU eviction "
-        "to disk; default 0 = unbounded)\n"
-        "  --cache-stats DIR    inspect DIR/results.jsonl and exit\n"
-        "  --cache-compact DIR  drop shadowed cache rows and exit\n"
-        "  --coverage       grade each row's partition by measured IDDQ "
-        "fault coverage (docs/coverage.md)\n"
-        "  --fault-model M  coverage fault model: mixed | bridges | shorts "
-        "| bridges=N[,shorts=M] (default mixed)\n"
-        "  --patterns N     coverage test patterns (default 256)\n"
-        "  --minimize-patterns  greedy set-cover pattern minimization\n"
-        "  --pareto         print each circuit's (area overhead, fault "
-        "coverage) Pareto frontier; needs --coverage\n"
-        "  --submit ENDPOINT  send the job to an iddqsyn_server (unix "
-        "socket path, or host:port for TCP)\n"
-        "  --stall-ms N     (--submit only) sleep N ms before reading "
-        "events — a deliberately slow reader for stress tests\n"
-        "  --deadline-ms N  (--submit only) per-job deadline: jobs past N "
-        "ms of wall clock fail with reason \"timeout\"\n"
-        "  --progress       stream optimizer progress to stderr\n"
-        "  --list-methods   print registered optimizer names and exit\n"
-        "  -o FILE          write the first method's partition to FILE "
-        "(one circuit only)\n"
-        "  --lib FILE       cell library file (default: built-in 5V CMOS)\n"
-        "  --rail MV        rail perturbation limit r in mV (default 200, "
-        "> 0)\n"
-        "  --disc D         required discriminability d (default 10, > 0)\n"
-        "  --seed N         base seed (default 42)\n"
-        "  --generations N  ES generation cap (default 350, >= 1)\n"
-        "  --retime         partition-aware wave retiming (one circuit "
-        "only)\n"
-        "  --quiet          summary rows only\n";
-}
 
 void print_methods(std::ostream& os) {
   os << "registered optimizers:";
@@ -131,234 +77,116 @@ void print_methods(std::ostream& os) {
         "portfolio:evolution,annealing\n";
 }
 
-std::optional<CliOptions> parse(int argc, char** argv) {
-  CliOptions opts;
-  bool fault_model_set = false;
-  bool patterns_set = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need_value = [&](const char* flag) -> std::optional<std::string> {
-      if (i + 1 >= argc) {
-        std::cerr << "iddqsyn: " << flag << " needs a value\n";
-        return std::nullopt;
-      }
-      return std::string(argv[++i]);
-    };
-    if (arg == "--help" || arg == "-h") {
-      print_usage(std::cout);
-      std::exit(0);
-    } else if (arg == "--list-methods") {
-      print_methods(std::cout);
-      std::exit(0);
-    } else if (arg == "--method") {
-      const auto v = need_value("--method");
-      if (!v) return std::nullopt;
-      opts.methods.clear();
-      // Portfolio specs contain commas, so ';' separates methods when
-      // present; a ';'-free value containing a portfolio is one spec.
-      std::vector<std::string_view> pieces;
-      if (v->find(';') != std::string::npos)
-        pieces = str::split(*v, ';');
-      else if (v->find("portfolio:") != std::string::npos)
-        pieces.push_back(str::trim(*v));
-      else
-        pieces = str::split(*v, ',');
-      for (const auto piece : pieces)
-        if (!piece.empty()) opts.methods.emplace_back(piece);
-      if (opts.methods.empty()) {
-        std::cerr << "iddqsyn: --method needs at least one name\n";
-        return std::nullopt;
-      }
-    } else if (arg == "--jobs") {
-      const auto v = need_value("--jobs");
-      if (!v || !str::parse_size(*v, opts.jobs) || opts.jobs == 0) {
-        std::cerr << "iddqsyn: --jobs must be a positive integer\n";
-        return std::nullopt;
-      }
-    } else if (arg == "--threads") {
-      const auto v = need_value("--threads");
-      if (!v || !str::parse_size(*v, opts.threads) || opts.threads == 0) {
-        std::cerr << "iddqsyn: --threads must be a positive integer\n";
-        return std::nullopt;
-      }
-    } else if (arg == "--cache-dir") {
-      const auto v = need_value("--cache-dir");
-      if (!v) return std::nullopt;
-      opts.cache_dir = *v;
-    } else if (arg == "--no-cache") {
-      opts.no_cache = true;
-    } else if (arg == "--cache-resident") {
-      const auto v = need_value("--cache-resident");
-      if (!v || !str::parse_size(*v, opts.cache_resident) ||
-          opts.cache_resident == 0) {
-        std::cerr << "iddqsyn: --cache-resident must be >= 1\n";
-        return std::nullopt;
-      }
-    } else if (arg == "--coverage") {
-      opts.coverage = true;
-    } else if (arg == "--fault-model") {
-      const auto v = need_value("--fault-model");
-      if (!v) return std::nullopt;
-      opts.fault_model = *v;
-      fault_model_set = true;
-    } else if (arg == "--patterns") {
-      const auto v = need_value("--patterns");
-      if (!v || !str::parse_size(*v, opts.patterns) || opts.patterns == 0) {
-        std::cerr << "iddqsyn: --patterns must be >= 1\n";
-        return std::nullopt;
-      }
-      patterns_set = true;
-    } else if (arg == "--minimize-patterns") {
-      opts.minimize_patterns = true;
-    } else if (arg == "--pareto") {
-      opts.pareto = true;
-    } else if (arg == "--cache-stats") {
-      const auto v = need_value("--cache-stats");
-      if (!v) return std::nullopt;
-      opts.cache_stats_dir = *v;
-    } else if (arg == "--cache-compact") {
-      const auto v = need_value("--cache-compact");
-      if (!v) return std::nullopt;
-      opts.cache_compact_dir = *v;
-    } else if (arg == "--submit") {
-      const auto v = need_value("--submit");
-      if (!v) return std::nullopt;
-      opts.submit_socket = *v;
-    } else if (arg == "--stall-ms") {
-      const auto v = need_value("--stall-ms");
-      if (!v || !str::parse_size(*v, opts.stall_ms)) {
-        std::cerr << "iddqsyn: --stall-ms must be an integer >= 0\n";
-        return std::nullopt;
-      }
-    } else if (arg == "--deadline-ms") {
-      const auto v = need_value("--deadline-ms");
-      if (!v || !str::parse_size(*v, opts.deadline_ms) ||
-          opts.deadline_ms == 0) {
-        std::cerr << "iddqsyn: --deadline-ms must be >= 1\n";
-        return std::nullopt;
-      }
-    } else if (arg == "--progress") {
-      opts.progress = true;
-    } else if (arg == "-o") {
-      const auto v = need_value("-o");
-      if (!v) return std::nullopt;
-      opts.output_path = *v;
-    } else if (arg == "--lib") {
-      const auto v = need_value("--lib");
-      if (!v) return std::nullopt;
-      opts.lib_path = *v;
-    } else if (arg == "--rail") {
-      const auto v = need_value("--rail");
-      if (!v) return std::nullopt;
-      if (!str::parse_double(*v, opts.rail_mv) || !(opts.rail_mv > 0.0)) {
-        std::cerr << "iddqsyn: --rail must be > 0 mV (got " << *v << ")\n";
-        return std::nullopt;
-      }
-    } else if (arg == "--disc") {
-      const auto v = need_value("--disc");
-      if (!v) return std::nullopt;
-      if (!str::parse_double(*v, opts.disc) || !(opts.disc > 0.0)) {
-        std::cerr << "iddqsyn: --disc must be > 0 (got " << *v << ")\n";
-        return std::nullopt;
-      }
-    } else if (arg == "--seed") {
-      const auto v = need_value("--seed");
-      if (!v) return std::nullopt;
-      std::size_t seed = 0;
-      if (!str::parse_size(*v, seed)) {
-        std::cerr << "iddqsyn: --seed must be an unsigned integer (got " << *v
-                  << ")\n";
-        return std::nullopt;
-      }
-      opts.seed = seed;
-    } else if (arg == "--generations") {
-      const auto v = need_value("--generations");
-      if (!v || !str::parse_size(*v, opts.generations) ||
-          opts.generations == 0) {
-        std::cerr << "iddqsyn: --generations must be >= 1\n";
-        return std::nullopt;
-      }
-    } else if (arg == "--retime") {
-      opts.retime = true;
-    } else if (arg == "--quiet") {
-      opts.quiet = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "iddqsyn: unknown option '" << arg << "'\n";
-      return std::nullopt;
-    } else {
-      opts.circuits.push_back(arg);
-    }
-  }
+// Portfolio specs contain commas, so ';' separates methods when present; a
+// ';'-free value containing a portfolio is one spec.
+std::optional<std::string> set_methods(std::vector<std::string>& methods,
+                                       const std::string& value) {
+  std::vector<std::string_view> pieces;
+  if (value.find(';') != std::string::npos)
+    pieces = str::split(value, ';');
+  else if (value.find("portfolio:") != std::string::npos)
+    pieces.push_back(str::trim(value));
+  else
+    pieces = str::split(value, ',');
+  methods.clear();
+  for (const auto piece : pieces)
+    if (!piece.empty()) methods.emplace_back(piece);
+  if (methods.empty()) return "needs at least one name";
+  return std::nullopt;
+}
+
+support::FlagTable cli_flags(CliOptions& o) {
+  support::FlagTable flags(
+      "iddqsyn",
+      "[options] <circuit.bench | c17 | c1908 | c2670 | c3540 | c5315 | "
+      "c6288 | c7552 | ila<R>x<C> | big_dag<N>k | mult<N>> [<circuit> ...]");
+  flags
+      .custom("--method", "NAMES",
+              "comma-separated optimizer specs (default: evolution,standard)",
+              [&o](const std::string& v) { return set_methods(o.methods, v); })
+      .size("--jobs", "N", "worker threads over circuits (default 1)", o.jobs,
+            1);
+  o.engine.declare(flags);
+  flags
+      .flag("--no-cache", "disable the cache even with --cache-dir",
+            o.no_cache)
+      .text("--cache-stats", "DIR", "inspect DIR/results.jsonl and exit",
+            o.cache_stats_dir)
+      .text("--cache-compact", "DIR", "drop shadowed cache rows and exit",
+            o.cache_compact_dir)
+      .flag("--pareto",
+            "print each circuit's (area overhead, fault coverage) Pareto "
+            "frontier; needs --coverage",
+            o.pareto)
+      .text("--submit", "ENDPOINT",
+            "send the job to an iddqsyn_server (unix socket path, or "
+            "host:port for TCP)",
+            o.submit_socket)
+      .size("--stall-ms", "N",
+            "(--submit only) sleep N ms before reading events — a "
+            "deliberately slow reader for stress tests",
+            o.stall_ms)
+      .size("--deadline-ms", "N",
+            "(--submit only) per-job deadline: jobs past N ms of wall clock "
+            "fail with reason \"timeout\"",
+            o.deadline_ms, 1)
+      .flag("--progress", "stream optimizer progress to stderr", o.progress)
+      .command("--list-methods", "print registered optimizer names and exit",
+               print_methods)
+      .text("-o", "FILE",
+            "write the first method's partition to FILE (one circuit only)",
+            o.output_path)
+      .u64("--seed", "N", "base seed (default 42)", o.seed)
+      .flag("--retime", "partition-aware wave retiming (one circuit only)",
+            o.retime)
+      .flag("--quiet", "summary rows only", o.quiet)
+      .positional(o.circuits);
+  return flags;
+}
+
+// The rules that relate flags to each other; returns the usage error.
+std::optional<std::string> check(const CliOptions& o,
+                                 const support::FlagTable& flags) {
   // Cache-maintenance commands run without circuits and skip the rest of
   // the validation. (--cache-stats with --submit inspects a remote
   // server's cache over the protocol instead of a local directory.)
-  if (opts.cache_stats_dir || opts.cache_compact_dir) return opts;
-  if (opts.circuits.empty()) {
-    std::cerr << "iddqsyn: at least one circuit argument expected\n";
-    return std::nullopt;
-  }
-  if (opts.circuits.size() > 1 && (opts.output_path || opts.retime)) {
-    std::cerr << "iddqsyn: -o/--retime need exactly one circuit\n";
-    return std::nullopt;
-  }
-  if (opts.submit_socket && (opts.output_path || opts.retime)) {
-    std::cerr << "iddqsyn: -o/--retime do not work in --submit mode\n";
-    return std::nullopt;
-  }
-  if (opts.deadline_ms > 0 && !opts.submit_socket) {
-    std::cerr << "iddqsyn: --deadline-ms only works in --submit mode\n";
-    return std::nullopt;
-  }
-  if (opts.stall_ms > 0 && !opts.submit_socket) {
-    std::cerr << "iddqsyn: --stall-ms only works in --submit mode\n";
-    return std::nullopt;
-  }
-  if (opts.submit_socket && opts.threads > 0) {
-    std::cerr << "iddqsyn: --threads has no effect in --submit mode "
-                 "(set --threads on the server)\n";
-    return std::nullopt;
-  }
-  if (!opts.coverage &&
-      (fault_model_set || patterns_set || opts.minimize_patterns)) {
-    std::cerr << "iddqsyn: --fault-model/--patterns/--minimize-patterns "
-                 "need --coverage\n";
-    return std::nullopt;
-  }
-  if (opts.submit_socket && opts.coverage) {
-    std::cerr << "iddqsyn: --coverage has no effect in --submit mode "
-                 "(enable coverage on the server)\n";
-    return std::nullopt;
-  }
-  if (opts.pareto && opts.submit_socket) {
-    std::cerr << "iddqsyn: --pareto does not work in --submit mode (run "
-                 "it on locally printed rows)\n";
-    return std::nullopt;
-  }
-  if (opts.pareto && !opts.coverage) {
-    std::cerr << "iddqsyn: --pareto needs --coverage (the frontier's "
-                 "coverage axis comes from fault grading)\n";
-    return std::nullopt;
-  }
-  if (opts.coverage) {
-    // Validate the spec grammar up front, like the method specs below.
-    try {
-      (void)sim::FaultModelSpec::parse(opts.fault_model);
-    } catch (const Error& e) {
-      std::cerr << "iddqsyn: " << e.what() << "\n";
-      return std::nullopt;
-    }
-  }
+  if (o.cache_stats_dir || o.cache_compact_dir) return std::nullopt;
+  if (o.circuits.empty()) return "at least one circuit argument expected";
+  if (o.circuits.size() > 1 && (o.output_path || o.retime))
+    return "-o/--retime need exactly one circuit";
+  if (o.submit_socket && (o.output_path || o.retime))
+    return "-o/--retime do not work in --submit mode";
+  if (o.deadline_ms > 0 && !o.submit_socket)
+    return "--deadline-ms only works in --submit mode";
+  if (o.stall_ms > 0 && !o.submit_socket)
+    return "--stall-ms only works in --submit mode";
+  if (o.submit_socket && o.engine.threads > 0)
+    return "--threads has no effect in --submit mode (set --threads on the "
+           "server)";
+  if (!o.engine.coverage &&
+      (flags.given("--fault-model") || flags.given("--patterns") ||
+       o.engine.minimize_patterns))
+    return "--fault-model/--patterns/--minimize-patterns need --coverage";
+  if (o.submit_socket && o.engine.coverage)
+    return "--coverage has no effect in --submit mode (enable coverage on "
+           "the server)";
+  if (o.pareto && o.submit_socket)
+    return "--pareto does not work in --submit mode (run it on locally "
+           "printed rows)";
+  if (o.pareto && !o.engine.coverage)
+    return "--pareto needs --coverage (the frontier's coverage axis comes "
+           "from fault grading)";
+  if (auto error = o.engine.check()) return error;
   // Validate method specs up front so typos report the registry's names
   // instead of failing mid-batch.
-  for (const auto& spec : opts.methods) {
+  for (const auto& spec : o.methods) {
     try {
       (void)core::OptimizerRegistry::global().make(spec);
     } catch (const Error& e) {
-      std::cerr << "iddqsyn: " << e.what() << "\n";
-      return std::nullopt;
+      return e.what();
     }
   }
-  return opts;
+  return std::nullopt;
 }
 
 void print_method_row(std::ostream& os, const std::string& circuit,
@@ -506,9 +334,7 @@ int run_remote_cache_stats(const CliOptions& opts) {
 // host:port when its last ':'-suffix parses as a port, a unix socket path
 // otherwise; the protocol bytes are identical either way.
 int run_submit_client(const CliOptions& opts) {
-  const auto tcp = support::parse_host_port(*opts.submit_socket);
-  const auto channel = tcp ? support::connect_tcp(tcp->first, tcp->second)
-                           : support::connect_unix_socket(*opts.submit_socket);
+  const auto channel = support::connect_endpoint(*opts.submit_socket);
 
   json::JsonWriter circuits(json::JsonWriter::Kind::Array);
   for (const auto& c : opts.circuits) circuits.element(std::string_view(c));
@@ -597,45 +423,29 @@ int run_submit_client(const CliOptions& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = parse(argc, argv);
-  if (!opts) {
-    print_usage(std::cerr);
-    return 1;
-  }
+  CliOptions opts;
+  auto flags = cli_flags(opts);
+  if (const auto code = flags.parse(argc, argv)) return *code;
+  if (const auto error = check(opts, flags)) return flags.usage_error(*error);
   try {
-    if (opts->cache_stats_dir && opts->submit_socket)
-      return run_remote_cache_stats(*opts);
-    if (opts->cache_stats_dir || opts->cache_compact_dir)
-      return run_cache_maintenance(*opts);
-    if (opts->submit_socket) return run_submit_client(*opts);
+    if (opts.cache_stats_dir && opts.submit_socket)
+      return run_remote_cache_stats(opts);
+    if (opts.cache_stats_dir || opts.cache_compact_dir)
+      return run_cache_maintenance(opts);
+    if (opts.submit_socket) return run_submit_client(opts);
 
-    const auto library = opts->lib_path
-                             ? lib::read_library_file(*opts->lib_path)
-                             : lib::default_library();
-
-    core::FlowEngineConfig config;
-    config.sensor.r_max_mv = opts->rail_mv;
-    config.sensor.d_min = opts->disc;
-    config.optimizers.es.max_generations = opts->generations;
-    config.coverage.enabled = opts->coverage;
-    config.coverage.fault_model = opts->fault_model;
-    config.coverage.patterns = opts->patterns;
-    config.coverage.minimize = opts->minimize_patterns;
+    const auto library = opts.engine.library();
+    core::FlowEngineConfig config = opts.engine.flow_config();
 
     // One pool shared by all --jobs workers (bounded fan-out); declared
     // before the service so it outlives every optimizer run.
     support::ExecutorPool pool(
-        support::ExecutorPool::from_option(opts->threads));
+        support::ExecutorPool::from_option(opts.engine.threads));
     config.pool = &pool;
 
     std::optional<core::ResultCache> cache;
-    if (opts->cache_dir && !opts->no_cache) {
-      cache.emplace(*opts->cache_dir);
-      if (opts->cache_resident > 0)
-        cache->set_max_resident(opts->cache_resident);
-      config.cache = &*cache;
-    }
-    if (opts->progress) {
+    if (!opts.no_cache) config.cache = opts.engine.open_cache(cache);
+    if (opts.progress) {
       // Worker threads report concurrently; serialize the ticker lines.
       static std::mutex progress_mutex;
       config.on_progress = [](const core::OptimizerProgress& p) {
@@ -651,15 +461,15 @@ int main(int argc, char** argv) {
     // derived from its index alone, so the rows are the same for any
     // --jobs; waiting in argument order keeps the output order fixed.
     core::JobServiceConfig service_config;
-    service_config.workers = std::min(opts->jobs, opts->circuits.size());
+    service_config.workers = std::min(opts.jobs, opts.circuits.size());
     service_config.flow = std::move(config);
     core::JobService service(library, std::move(service_config));
     std::vector<core::JobHandle> handles;
-    for (std::size_t i = 0; i < opts->circuits.size(); ++i) {
+    for (std::size_t i = 0; i < opts.circuits.size(); ++i) {
       core::JobSpec spec;
-      spec.circuit = opts->circuits[i];
-      spec.methods = opts->methods;
-      spec.base_seed = Rng::mix_seed(opts->seed, i);
+      spec.circuit = opts.circuits[i];
+      spec.methods = opts.methods;
+      spec.base_seed = Rng::mix_seed(opts.seed, i);
       handles.push_back(service.submit(std::move(spec)));
     }
 
@@ -672,14 +482,14 @@ int main(int argc, char** argv) {
                   << "\n";
         continue;
       }
-      if (!opts->quiet)
+      if (!opts.quiet)
         std::cout << item.circuit << ": K=" << item.plan.module_count
                   << " planned (leakage bound " << item.plan.k_min_leakage
                   << ", target module size " << item.plan.target_module_size
                   << ")\n";
       for (const auto& r : item.rows)
         print_method_row(std::cout, item.circuit, r);
-      if (opts->pareto) print_pareto_front(std::cout, item.circuit, item.rows);
+      if (opts.pareto) print_pareto_front(std::cout, item.circuit, item.rows);
     }
     if (cache) {
       const auto hits = cache->hits();
@@ -706,8 +516,8 @@ int main(int argc, char** argv) {
     }
     if (failed) return 2;
 
-    if (opts->circuits.size() == 1)
-      return finish_single_circuit(*opts, handles.front().wait(), library);
+    if (opts.circuits.size() == 1)
+      return finish_single_circuit(opts, handles.front().wait(), library);
     return 0;
   } catch (const Error& e) {
     std::cerr << "iddqsyn: " << e.what() << "\n";
