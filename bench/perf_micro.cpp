@@ -3,12 +3,14 @@
 // The paper reports "convergence within a few hours on a Sun SPARC" for the
 // largest circuit; the incremental-evaluation design is what makes the
 // optimization tractable. These benchmarks pin the per-operation costs:
-// evaluator construction, incremental move + fitness, boundary computation,
+// evaluator construction, incremental move + fitness, ES offspring (copy,
+// mutate, fitness) on a K ladder, boundary computation,
 // distance-oracle construction and the standard-partition baseline on a
 // 10k-100k gate ladder, transition-time analysis, and the logic
 // simulator's pattern throughput.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -216,17 +218,91 @@ BENCHMARK(BM_IncrementalVsFullTiming)
     ->ArgsProduct({{0, 1, 2, 3}, {0, 1}})  // {circuit, 0=full / 1=incr}
     ->Unit(benchmark::kMicrosecond);
 
+// Ladder for the ES offspring benches: a Table-1 circuit and the two
+// big_ladder benchmark circuits, each at its planned module count K. A
+// child copy shares the parent's clean current profiles (2 * grid slots
+// each) through O(K) handles, so the copy cost should not track K * grid
+// down the ladder.
+constexpr std::array<const char*, 3> kOffspringLadder = {
+    "c7552", "big_dag30k", "mult64"};
+
+struct OffspringFixture {
+  netlist::Netlist nl;
+  part::EvalContext ctx;
+  part::PartitionEvaluator parent;  // refreshed, like an ES parent
+
+  explicit OffspringFixture(const char* name)
+      : nl(netlist::load_circuit(name)),
+        ctx(nl, library(), elec::SensorSpec{}, part::CostWeights{}),
+        parent(ctx, start(nl, ctx)) {
+    (void)parent.fitness();
+  }
+
+  static part::Partition start(const netlist::Netlist& nl,
+                               const part::EvalContext& ctx) {
+    Rng rng(3);
+    return core::make_start_partition(
+        nl, core::plan_module_size(ctx).module_count, rng);
+  }
+};
+
+OffspringFixture& offspring_at(std::size_t idx) {
+  static std::array<OffspringFixture*, kOffspringLadder.size()> fixtures{};
+  if (fixtures[idx] == nullptr)
+    fixtures[idx] = new OffspringFixture(kOffspringLadder[idx]);
+  return *fixtures[idx];
+}
+
+void set_offspring_counters(benchmark::State& state,
+                            const OffspringFixture& f) {
+  state.counters["K"] =
+      static_cast<double>(f.parent.partition().module_count());
+  state.counters["grid"] =
+      static_cast<double>(f.ctx.transition_times.grid_size());
+}
+
+// `Individual child = parent` alone.
 void BM_EvaluatorCopy(benchmark::State& state) {
-  const auto& ctx = context();
-  Rng rng(3);
-  const part::PartitionEvaluator eval(
-      ctx, core::make_start_partition(circuit(), 6, rng));
+  auto& f = offspring_at(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    part::PartitionEvaluator copy = eval;
+    part::PartitionEvaluator copy = f.parent;
     benchmark::DoNotOptimize(copy.partition().module_count());
   }
+  set_offspring_counters(state, f);
 }
-BENCHMARK(BM_EvaluatorCopy)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_EvaluatorCopy)
+    ->DenseRange(0, kOffspringLadder.size() - 1)
+    ->Unit(benchmark::kMicrosecond);
+
+// One ES descendant end to end: copy the parent, apply a mutate()-sized
+// change (up to m0 = 4 boundary gates of one module, each to a module it
+// is wired to), and evaluate the child's fitness.
+void BM_EsOffspring(benchmark::State& state) {
+  auto& f = offspring_at(static_cast<std::size_t>(state.range(0)));
+  const std::uint32_t k =
+      static_cast<std::uint32_t>(f.parent.partition().module_count());
+  Rng rng(5);
+  std::vector<std::uint32_t> targets;
+  for (auto _ : state) {
+    part::PartitionEvaluator child = f.parent;
+    const auto m = static_cast<std::uint32_t>(rng.index(k));
+    auto boundary = core::EvolutionEngine::boundary_gates(child, m);
+    rng.shuffle(boundary);
+    boundary.resize(std::min<std::size_t>(boundary.size(), 4));
+    for (const netlist::GateId g : boundary) {
+      const std::uint32_t src = child.partition().module_of(g);
+      core::neighbor_modules(child, g, src, targets);
+      if (targets.empty() || child.partition().module_size(src) < 2)
+        continue;
+      child.move_gate(g, targets[rng.index(targets.size())]);
+    }
+    benchmark::DoNotOptimize(child.fitness());
+  }
+  set_offspring_counters(state, f);
+}
+BENCHMARK(BM_EsOffspring)
+    ->DenseRange(0, kOffspringLadder.size() - 1)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_BoundaryGates(benchmark::State& state) {
   const auto& ctx = context();

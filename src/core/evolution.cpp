@@ -170,11 +170,15 @@ EsResult EvolutionEngine::run(std::span<const part::Partition> starts) {
     for (auto& parent : parents) {
       parent.age += 1;
       for (std::size_t c = 0; c < params_.lambda; ++c) {
-        // Recombination = duplication. The copy takes the parent's module
-        // caches but deliberately drops the timing arrival state
-        // (evaluator copy semantics); the child's fitness() refresh
-        // rederives only its mutation-dirtied modules and repropagates —
-        // bit-identical to a full evaluation of the child's partition.
+        // Recombination = duplication. The copy shares the parent's
+        // (clean) module current profiles copy-on-write — mutate() clones
+        // only the profiles of the modules it touches — and deliberately
+        // drops the timing arrival state (evaluator copy semantics); the
+        // child's fitness() refresh rederives only its mutation-dirtied
+        // modules and rebuilds the arrivals — bit-identical to a full
+        // evaluation of the child's partition. Children are mutated here
+        // on the coordinator and only refreshed on the workers, so no
+        // shared profile is ever written concurrently.
         Individual child = parent;
         child.age = 0;
         child.step_width = vary_step_width(parent.step_width);

@@ -181,13 +181,19 @@ bool JobProtocolSession::handle_line(const std::string& line) {
   }
   if (op == "cancel") {
     const std::string id = request->get_string("id");
+    bool known = false;
     std::vector<JobHandle> to_cancel;
     {
       const std::scoped_lock lock(state_mutex_);
       const auto it = sweeps_.find(id);
-      if (it != sweeps_.end()) to_cancel = it->second->handles;
+      known = it != sweeps_.end();
+      // A finished sweep has no jobs left; cancelling it is a no-op.
+      if (known) {
+        for (const SweepJob& job : jobs_)
+          if (job.sweep == it->second.get()) to_cancel.push_back(job.handle);
+      }
     }
-    if (to_cancel.empty()) {
+    if (!known) {
       send_error("cancel: unknown sweep id '" + id + "'");
       return false;
     }
@@ -346,9 +352,10 @@ void JobProtocolSession::handle_submit(
         --reservation.held;
       }
       {
+        // A shard can finish (and its sweep with it) before we get here;
+        // a finished sweep's jobs are not tracked any more.
         const std::scoped_lock lock(state_mutex_);
-        sweep->handles.push_back(handle);
-        handles_.push_back(handle);
+        if (sweep->remaining > 0) jobs_.push_back({sweep.get(), handle});
       }
       // The overflow hook can fire inside submit() above (this shard's
       // own `queued` event posts synchronously) — before the handle was
@@ -390,7 +397,10 @@ void JobProtocolSession::handle_submit(
     }
   }
   send_error("submit: " + error, request.id);
-  if (finished) send_sweep_done(request.id, ok, failed, cancelled);
+  if (finished) {
+    send_sweep_done(request.id, ok, failed, cancelled);
+    forget_jobs(sweep.get());
+  }
 }
 
 void JobProtocolSession::send_sweep_done(const std::string& id,
@@ -441,7 +451,18 @@ void JobProtocolSession::on_event(const std::shared_ptr<Sweep>& sweep,
       cancelled = sweep->cancelled;
     }
   }
-  if (sweep_finished) send_sweep_done(sweep->id, ok, failed, cancelled);
+  if (sweep_finished) {
+    send_sweep_done(sweep->id, ok, failed, cancelled);
+    // Last: once the handles are gone drain() no longer waits for this
+    // job, so nothing after this may touch the session.
+    forget_jobs(sweep.get());
+  }
+}
+
+void JobProtocolSession::forget_jobs(const Sweep* sweep) {
+  const std::scoped_lock lock(state_mutex_);
+  std::erase_if(jobs_,
+                [sweep](const SweepJob& job) { return job.sweep == sweep; });
 }
 
 void JobProtocolSession::send(const std::string& json,
@@ -520,19 +541,19 @@ void JobProtocolSession::on_overflow_disconnect() {
   // The client will never see this session's remaining results; cancel
   // its jobs so they stop consuming shared workers. Their terminal events
   // are rejected at the (disconnected) queue, and drain() stays prompt.
-  std::vector<JobHandle> to_cancel;
+  std::vector<SweepJob> to_cancel;
   {
     const std::scoped_lock lock(state_mutex_);
-    to_cancel = handles_;
+    to_cancel = jobs_;
   }
-  for (auto& handle : to_cancel) handle.cancel();
+  for (auto& job : to_cancel) job.handle.cancel();
 }
 
 void JobProtocolSession::drain() {
   std::vector<JobHandle> handles;
   {
     const std::scoped_lock lock(state_mutex_);
-    handles = handles_;
+    for (const SweepJob& job : jobs_) handles.push_back(job.handle);
   }
   // Bounded drain (docs/robustness.md): once the server is draining, in-
   // flight jobs get --drain-timeout-ms collectively; whatever is still

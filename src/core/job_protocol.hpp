@@ -117,7 +117,10 @@ class JobProtocolSession {
   bool run();
 
  private:
-  /// One submit's fan-out state; counters guarded by state_mutex_.
+  /// One submit's fan-out state; counters guarded by state_mutex_. Each
+  /// shard's event sink owns the Sweep, so it must not own the shards'
+  /// JobHandles in turn (that cycle would keep every job alive forever);
+  /// the session's jobs_ list holds them instead.
   struct Sweep {
     std::string id;
     std::size_t remaining = 0;
@@ -125,7 +128,11 @@ class JobProtocolSession {
     std::size_t ok = 0;
     std::size_t failed = 0;
     std::size_t cancelled = 0;
-    std::vector<JobHandle> handles;
+  };
+  /// A submitted shard and the sweep it belongs to.
+  struct SweepJob {
+    const Sweep* sweep;
+    JobHandle handle;
   };
 
   /// Returns true when the line was a shutdown op.
@@ -134,6 +141,8 @@ class JobProtocolSession {
   void on_event(const std::shared_ptr<Sweep>& sweep, const JobEvent& event);
   void send_sweep_done(const std::string& id, std::size_t ok,
                        std::size_t failed, std::size_t cancelled);
+  /// Drops a finished sweep's handles (after its sweep_done was sent).
+  void forget_jobs(const Sweep* sweep);
   /// Routes through the session's event writer (non-blocking; overflow
   /// policy applies per `cls`). Everything except progress ticks is
   /// must_deliver.
@@ -154,9 +163,13 @@ class JobProtocolSession {
   Options options_;
 
   std::mutex write_mutex_;  // serializes the no-writer fallback path
-  std::mutex state_mutex_;  // guards sweeps_ / handles_ / in_flight_
+  std::mutex state_mutex_;  // guards sweeps_ / jobs_ / in_flight_
   std::unordered_map<std::string, std::shared_ptr<Sweep>> sweeps_;
-  std::vector<JobHandle> handles_;  // every job this session submitted
+  /// The jobs of this session's unfinished sweeps: what cancel, the
+  /// overflow hook and drain() act on. A sweep's entries go once its
+  /// sweep_done is sent, so a long-lived session does not accumulate
+  /// finished jobs (their rows and partitions).
+  std::vector<SweepJob> jobs_;
   std::size_t in_flight_ = 0;  // submitted shards not yet terminal
   std::uint64_t auto_id_ = 0;  // for submits without an "id"
   /// The run()-scoped event writer; null outside run() (send() then

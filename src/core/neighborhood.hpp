@@ -33,7 +33,8 @@ struct GateMove {
 /// The same objective for a *hypothetical* move, via the evaluator's
 /// copy-free probe_move(): bit-identical to copying `eval`, applying the
 /// move, and calling penalized_objective on the copy — without the
-/// O(gates + K*grid) copy or a full delay recomputation.
+/// O(gates + K) copy, its two cloned profiles, or a full delay
+/// recomputation.
 [[nodiscard]] double probe_objective(part::PartitionEvaluator& eval,
                                      const GateMove& move,
                                      double violation_penalty);

@@ -44,7 +44,10 @@
 // DROPS the arrival state: the copy reports !valid() and the next rebuild
 // recomputes it from the copied module caches — bit-identical by the
 // fixpoint argument above, and the O(V) arrival memcpy per copy is gone
-// from the population hot path.
+// from the population hot path. Keeping the arrivals would not pay: an ES
+// child's dirty modules already cover enough gates to cross
+// kDenseSeedFactor, and forcing propagate() on a kept copy instead was
+// measured 2.3x slower on big_dag30k and 3.4x slower on c7552.
 #pragma once
 
 #include <algorithm>

@@ -118,8 +118,11 @@ class PartitionEvaluator {
   PartitionEvaluator(const EvalContext& ctx, Partition partition);
 
   // Copyable: evolution-strategy children copy the parent and mutate.
-  PartitionEvaluator(const PartitionEvaluator&) = default;
-  PartitionEvaluator& operator=(const PartitionEvaluator&) = default;
+  // A copy shares the current profiles of the source's clean modules
+  // copy-on-write (O(K) handle copies) and deep-copies its dirty ones;
+  // see profiles_. The timing arrival state is dropped (IncrementalTiming).
+  PartitionEvaluator(const PartitionEvaluator& other);
+  PartitionEvaluator& operator=(const PartitionEvaluator& other);
   PartitionEvaluator(PartitionEvaluator&&) = default;
   PartitionEvaluator& operator=(PartitionEvaluator&&) = default;
 
@@ -137,7 +140,8 @@ class PartitionEvaluator {
   /// committing it: returns bit-for-bit what `copy = *this;
   /// copy.move_gate(g, target); {copy.fitness(), copy.costs()}` would,
   /// using src/target scratch overlays plus a rolled-back timing probe
-  /// instead of the O(gates + K*grid) copy. The evaluator's logical state
+  /// instead of the copy (O(gates + K), two cloned profiles and a full
+  /// timing rebuild). The evaluator's logical state
   /// is unchanged (scratch and lazy caches may refresh). Requires a move
   /// that does not empty its source module (the accept/reject loops never
   /// propose one; commit emptying moves with move_gate directly).
@@ -192,6 +196,9 @@ class PartitionEvaluator {
                            std::span<double> type_delta_row, double& area,
                            double& settle) const;
   void mark_dirty(std::uint32_t m);
+  /// move_gate's write access to a module's profile: clones it first
+  /// when another evaluator still shares it.
+  [[nodiscard]] est::ModuleCurrentProfile& writable_profile(std::uint32_t m);
 
   /// Rows of the flat [module x type] SoA matrices.
   [[nodiscard]] std::span<const std::uint32_t> hist_row(
@@ -222,7 +229,20 @@ class PartitionEvaluator {
   // contiguous memory the compiler can vectorize, a probe's overlay rows
   // are cheap span copies, and erase_module's slot swap is a copy_n
   // instead of a heap-handle shuffle.
-  std::vector<est::ModuleCurrentProfile> profiles_;
+  //
+  // The current profiles (2 * grid slots each, the bulk of an evaluator)
+  // are shared copy-on-write between an evaluator and its copies: a copy
+  // takes handles, and move_gate clones a profile through
+  // writable_profile() only while another evaluator still holds it. So an
+  // ES child pays O(K) handle copies plus one profile per module its
+  // mutation touches. Invariant: a shared profile is always clean. A
+  // clean module's (!dirty_[m]) tree was synced by the refresh that
+  // cleared its flag, so the copy constructor shares exactly those and
+  // deep-copies dirty ones, and writes always un-share first. Shared
+  // profiles therefore see only const reads that never take the lazy
+  // sync path — sibling copies may refresh concurrently on ExecutorPool
+  // workers without a lock.
+  std::vector<std::shared_ptr<est::ModuleCurrentProfile>> profiles_;
   std::vector<double> leak_ua_;
   std::vector<double> cvr_ff_;
   std::vector<double> separation_;

@@ -18,6 +18,14 @@
 #
 #   $ tools/ci.sh tsan [build-dir]     default build dir: build-tsan
 #
+# AddressSanitizer + UBSan leg: rebuild the partition, estimators and
+# core test binaries plus the job server with -fsanitize=address,undefined,
+# run the evaluator/optimizer/job suites, then the docs/server.md worked
+# --pipe session on c17 + mult4 with leak detection on. Any report (leak,
+# overflow, UB) fails the leg; there is no suppression file.
+#
+#   $ tools/ci.sh asan [build-dir]     default build dir: build-asan
+#
 # Server smoke (what the CI server-smoke job runs): build only the job
 # server, start it in pipe mode, submit a builtin-circuit job, and assert
 # a result row streams back.
@@ -81,7 +89,7 @@ set -eu
 
 MODE="full"
 case "${1:-}" in
-  smoke|threads|tsan|bench|big-smoke|coverage-smoke|stress|cluster|chaos)
+  smoke|threads|tsan|asan|bench|big-smoke|coverage-smoke|stress|cluster|chaos)
     MODE="$1"
     shift
     ;;
@@ -465,15 +473,52 @@ if [ "$MODE" = "tsan" ]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build "$BUILD_DIR" -j "$JOBS" \
-    --target iddq_tests_support iddq_tests_core
-  # The parallelism surface: executor pool, TCP transport, the parallel
+    --target iddq_tests_support iddq_tests_partition iddq_tests_core
+  # The parallelism surface: executor pool, TCP transport, evaluator
+  # copies sharing module profiles across workers, the parallel
   # optimizers and their invariance pins, the job queue/service/protocol
   # stack, and the per-session event writer + fault-injection layer.
   IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_support" \
     --gtest_filter='Executor.*:Transport.*'
+  IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_partition" \
+    --gtest_filter='SharedProfiles.*'
   IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_core" \
     --gtest_filter='ParallelInvariance.*:Evolution.*:Tabu.*:Portfolio.*:JobQueue.*:JobService.*:JobProtocol.*:EventWriter.*:FaultInjection.*'
   echo "tsan OK"
+  exit 0
+fi
+
+if [ "$MODE" = "asan" ]; then
+  BUILD_DIR="${1:-build-asan}"
+  SAN="-fsanitize=address,undefined -fno-omit-frame-pointer"
+  cmake -B "$BUILD_DIR" -S "$ROOT" -DIDDQ_BUILD_BENCHES=OFF \
+    -DIDDQ_BUILD_EXAMPLES=OFF \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="$SAN" \
+    -DCMAKE_EXE_LINKER_FLAGS="$SAN"
+  cmake --build "$BUILD_DIR" -j "$JOBS" --target iddq_tests_partition \
+    iddq_tests_estimators iddq_tests_core iddqsyn_server
+  ASAN_OPTIONS=detect_leaks=1:halt_on_error=1
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+  export ASAN_OPTIONS UBSAN_OPTIONS
+  "$BUILD_DIR/iddq_tests_partition" \
+    --gtest_filter='Evaluator*:*Incremental*:*Probe*:SharedProfiles.*'
+  "$BUILD_DIR/iddq_tests_estimators" \
+    --gtest_filter='IncrementalTiming.*:CurrentProfile.*'
+  IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_core" \
+    --gtest_filter='Evolution.*:Tabu.*:Portfolio.*:JobService.*:JobProtocol.*'
+  # The docs/server.md worked session, on two circuits: every job's
+  # state must be freed by the time the server exits.
+  OUT="$BUILD_DIR/asan_pipe_out.txt"
+  printf '%s\n%s\n%s\n' \
+    '{"op":"submit","id":"t1","circuits":["c17","mult4"],"methods":["evolution","standard"],"seed":42}' \
+    '{"op":"stats"}' \
+    '{"op":"shutdown"}' \
+    | "$BUILD_DIR/iddqsyn_server" --pipe --workers 2 --generations 15 \
+      > "$OUT"
+  grep -q '"event":"sweep_done","id":"t1","ok":2' "$OUT"
+  grep -q '"event":"bye"' "$OUT"
+  echo "asan OK"
   exit 0
 fi
 
