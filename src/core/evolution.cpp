@@ -171,7 +171,7 @@ EsResult EvolutionEngine::run(std::span<const part::Partition> starts) {
       parent.age += 1;
       for (std::size_t c = 0; c < params_.lambda; ++c) {
         // Recombination = duplication. The copy shares the parent's
-        // (clean) module current profiles copy-on-write — mutate() clones
+        // (synced) module current profiles copy-on-write — mutate() clones
         // only the profiles of the modules it touches — and deliberately
         // drops the timing arrival state (evaluator copy semantics); the
         // child's fitness() refresh rederives only its mutation-dirtied

@@ -351,12 +351,18 @@ void JobProtocolSession::handle_submit(
         service_->release_reservation(1);
         --reservation.held;
       }
+      // A shard can finish (and its sweep with it) before we get here; a
+      // finished sweep's jobs are not tracked any more, so drain() would
+      // not wait for this one. Its sink may still be sending sweep_done:
+      // wait here until it has returned (wait() returns only after the
+      // terminal sink did).
+      bool finished_early = false;
       {
-        // A shard can finish (and its sweep with it) before we get here;
-        // a finished sweep's jobs are not tracked any more.
         const std::scoped_lock lock(state_mutex_);
-        if (sweep->remaining > 0) jobs_.push_back({sweep.get(), handle});
+        finished_early = sweep->remaining == 0;
+        if (!finished_early) jobs_.push_back({sweep.get(), handle});
       }
+      if (finished_early) (void)handle.wait();
       // The overflow hook can fire inside submit() above (this shard's
       // own `queued` event posts synchronously) — before the handle was
       // registered, so the hook could not cancel it. Re-check here so no
@@ -457,6 +463,11 @@ void JobProtocolSession::on_event(const std::shared_ptr<Sweep>& sweep,
     // job, so nothing after this may touch the session.
     forget_jobs(sweep.get());
   }
+}
+
+std::size_t JobProtocolSession::tracked_jobs() {
+  const std::scoped_lock lock(state_mutex_);
+  return jobs_.size();
 }
 
 void JobProtocolSession::forget_jobs(const Sweep* sweep) {

@@ -116,6 +116,12 @@ class JobProtocolSession {
   /// server to shut down (the caller decides what that means).
   bool run();
 
+  /// Jobs this session still holds for cancel and drain(): those of its
+  /// unfinished sweeps. A sweep's jobs are released once its sweep_done
+  /// is sent (the finishing shard's sink does it last, so this may read
+  /// the old count for a moment after sweep_done reached the channel).
+  [[nodiscard]] std::size_t tracked_jobs();
+
  private:
   /// One submit's fan-out state; counters guarded by state_mutex_. Each
   /// shard's event sink owns the Sweep, so it must not own the shards'

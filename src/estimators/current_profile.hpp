@@ -62,6 +62,10 @@ class ModuleCurrentProfile {
     return grid_ == 0 ? 0 : switching_[1];
   }
 
+  /// True when no max query would rebuild the tree: const reads then
+  /// write nothing, so the profile is safe to share across threads.
+  [[nodiscard]] bool synced() const noexcept { return !tree_stale_; }
+
   /// Switching-gate count profile n(t) (the tree's leaf row).
   [[nodiscard]] std::span<const std::uint32_t> switching() const noexcept {
     return std::span<const std::uint32_t>(switching_).subspan(grid_);

@@ -81,43 +81,40 @@ PartitionEvaluator::PartitionEvaluator(const EvalContext& ctx,
   rebuild_all();
 }
 
-// Member-wise copy (keep in step with the members in evaluator.hpp),
-// except that dirty modules get private profiles: see profiles_.
-PartitionEvaluator::PartitionEvaluator(const PartitionEvaluator& other)
-    : ctx_(other.ctx_),
-      partition_(other.partition_),
-      profiles_(other.profiles_),
-      leak_ua_(other.leak_ua_),
-      cvr_ff_(other.cvr_ff_),
-      separation_(other.separation_),
-      type_histogram_(other.type_histogram_),
-      type_delta_(other.type_delta_),
-      area_(other.area_),
-      settle_ps_(other.settle_ps_),
-      dirty_(other.dirty_),
-      any_dirty_(other.any_dirty_),
-      timing_(other.timing_),
-      d_bic_ps_(other.d_bic_ps_),
-      settle_max_ps_(other.settle_max_ps_),
-      scratch_(other.scratch_) {
-  for (std::size_t m = 0; m < profiles_.size(); ++m) {
-    if (dirty_[m])
-      profiles_[m] = std::make_shared<est::ModuleCurrentProfile>(*profiles_[m]);
+SharedProfiles::SharedProfiles(const SharedProfiles& other)
+    : slots_(other.slots_) {
+  for (auto& slot : slots_) {
+    if (!slot->synced())
+      slot = std::make_shared<est::ModuleCurrentProfile>(*slot);
   }
 }
 
-PartitionEvaluator& PartitionEvaluator::operator=(
-    const PartitionEvaluator& other) {
-  if (this != &other) *this = PartitionEvaluator(other);
+SharedProfiles& SharedProfiles::operator=(const SharedProfiles& other) {
+  if (this != &other) *this = SharedProfiles(other);
   return *this;
+}
+
+void SharedProfiles::assign(std::size_t modules, std::size_t grid) {
+  slots_.clear();
+  for (std::size_t m = 0; m < modules; ++m)
+    slots_.push_back(std::make_shared<est::ModuleCurrentProfile>(grid));
+}
+
+est::ModuleCurrentProfile& SharedProfiles::writable(std::size_t m) {
+  auto& slot = slots_[m];
+  if (slot.use_count() > 1)
+    slot = std::make_shared<est::ModuleCurrentProfile>(*slot);
+  return *slot;
+}
+
+void SharedProfiles::erase_by_swap(std::size_t m) {
+  if (m + 1 != slots_.size()) slots_[m] = std::move(slots_.back());
+  slots_.pop_back();
 }
 
 void PartitionEvaluator::rebuild_all() {
   const std::size_t k = partition_.module_count();
-  profiles_.clear();
-  for (std::size_t m = 0; m < k; ++m)
-    profiles_.push_back(std::make_shared<est::ModuleCurrentProfile>(
-        ctx_->transition_times.grid_size()));
+  profiles_.assign(k, ctx_->transition_times.grid_size());
   leak_ua_.assign(k, 0.0);
   cvr_ff_.assign(k, 0.0);
   separation_.assign(k, 0.0);
@@ -129,7 +126,8 @@ void PartitionEvaluator::rebuild_all() {
     const auto hist = hist_row(m);
     for (const netlist::GateId g : partition_.module(m)) {
       const auto& cell = ctx_->cells[g];
-      profiles_[m]->add_gate(ctx_->transition_times.at(g), cell.ipeak_ua);
+      profiles_.writable(m).add_gate(ctx_->transition_times.at(g),
+                                     cell.ipeak_ua);
       leak_ua_[m] += units::na_to_ua(cell.ileak_na);
       cvr_ff_[m] += cell.cvr_ff;
       hist[ctx_->type_of[g]]++;
@@ -147,14 +145,6 @@ void PartitionEvaluator::rebuild_all() {
 void PartitionEvaluator::mark_dirty(std::uint32_t m) {
   dirty_[m] = 1;
   any_dirty_ = true;
-}
-
-est::ModuleCurrentProfile& PartitionEvaluator::writable_profile(
-    std::uint32_t m) {
-  auto& profile = profiles_[m];
-  if (profile.use_count() > 1)
-    profile = std::make_shared<est::ModuleCurrentProfile>(*profile);
-  return *profile;
 }
 
 void PartitionEvaluator::move_gate(netlist::GateId g, std::uint32_t target) {
@@ -180,10 +170,10 @@ void PartitionEvaluator::move_gate(netlist::GateId g, std::uint32_t target) {
   separation_[src] -= sum_src;
   separation_[target] += sum_dst;
 
-  writable_profile(src).remove_gate(ctx_->transition_times.at(g),
-                                    cell.ipeak_ua);
-  writable_profile(target).add_gate(ctx_->transition_times.at(g),
-                                    cell.ipeak_ua);
+  profiles_.writable(src).remove_gate(ctx_->transition_times.at(g),
+                                      cell.ipeak_ua);
+  profiles_.writable(target).add_gate(ctx_->transition_times.at(g),
+                                      cell.ipeak_ua);
   leak_ua_[src] -= units::na_to_ua(cell.ileak_na);
   leak_ua_[target] += units::na_to_ua(cell.ileak_na);
   cvr_ff_[src] -= cell.cvr_ff;
@@ -206,8 +196,8 @@ void PartitionEvaluator::erase_module(std::uint32_t m) {
   const std::uint32_t moved_from = partition_.erase_empty_module(m);
   const std::uint32_t last = static_cast<std::uint32_t>(profiles_.size() - 1);
   IDDQ_ASSERT(moved_from == last);
+  profiles_.erase_by_swap(m);
   if (m != last) {
-    profiles_[m] = std::move(profiles_[last]);
     leak_ua_[m] = leak_ua_[last];
     cvr_ff_[m] = cvr_ff_[last];
     separation_[m] = separation_[last];
@@ -219,7 +209,6 @@ void PartitionEvaluator::erase_module(std::uint32_t m) {
     settle_ps_[m] = settle_ps_[last];
     dirty_[m] = dirty_[last];
   }
-  profiles_.pop_back();
   leak_ua_.pop_back();
   cvr_ff_.pop_back();
   separation_.pop_back();
@@ -231,7 +220,7 @@ void PartitionEvaluator::erase_module(std::uint32_t m) {
 }
 
 double PartitionEvaluator::module_rs_kohm(std::uint32_t m) const {
-  return elec::sensor_rs_kohm(ctx_->sensor, profiles_[m]->max_current_ua());
+  return elec::sensor_rs_kohm(ctx_->sensor, profiles_[m].max_current_ua());
 }
 
 double PartitionEvaluator::module_cs_ff(std::uint32_t m) const {
@@ -285,8 +274,8 @@ void PartitionEvaluator::refresh() {
   std::size_t dirty_gates = 0;
   for (std::uint32_t m = 0; m < k; ++m) {
     if (!dirty_[m]) continue;
-    derive_module_delay(profiles_[m]->max_current_ua(),
-                        profiles_[m]->max_switching(), cvr_ff_[m], hist_row(m),
+    derive_module_delay(profiles_[m].max_current_ua(),
+                        profiles_[m].max_switching(), cvr_ff_[m], hist_row(m),
                         delta_row(m), area_[m], settle_ps_[m]);
     dirty_gates += partition_.module_size(m);
   }
@@ -392,10 +381,10 @@ MoveProbe PartitionEvaluator::probe_move(netlist::GateId g,
   // facts the delay derivation needs from them (bit-equal to materialised
   // copies, see ModuleCurrentProfile::OverlayMax).
   const est::ModuleCurrentProfile::OverlayMax peak_src =
-      profiles_[src]->max_with_gate_removed(ctx_->transition_times.at(g),
+      profiles_[src].max_with_gate_removed(ctx_->transition_times.at(g),
                                             cell.ipeak_ua);
   const est::ModuleCurrentProfile::OverlayMax peak_tgt =
-      profiles_[target]->max_with_gate_added(ctx_->transition_times.at(g),
+      profiles_[target].max_with_gate_added(ctx_->transition_times.at(g),
                                              cell.ipeak_ua);
   const double leak_src = leak_ua_[src] - units::na_to_ua(cell.ileak_na);
   const double leak_tgt = leak_ua_[target] + units::na_to_ua(cell.ileak_na);
@@ -476,7 +465,7 @@ ModuleReport PartitionEvaluator::module_report(std::uint32_t m) {
   IDDQ_ASSERT(m < partition_.module_count());
   ModuleReport r;
   r.gates = partition_.module_size(m);
-  r.idd_max_ua = profiles_[m]->max_current_ua();
+  r.idd_max_ua = profiles_[m].max_current_ua();
   r.leakage_ua = leak_ua_[m];
   r.discriminability =
       est::discriminability(ctx_->sensor.iddq_th_ua, leak_ua_[m]);
@@ -498,17 +487,17 @@ void PartitionEvaluator::self_check() {
     // The incremental max state first: every tournament-tree node must be
     // consistent with its leaves and the O(1) maxima with the O(grid)
     // reference scans.
-    profiles_[m]->self_check();
+    profiles_[m].self_check();
     // Switching counts are integers and must match exactly; the running
     // current sums accumulate floating-point rounding in a different order
     // than a fresh summation, so they are compared with a tolerance.
-    const auto fresh_sw = fresh.profiles_[m]->switching();
-    const auto inc_sw = profiles_[m]->switching();
+    const auto fresh_sw = fresh.profiles_[m].switching();
+    const auto inc_sw = profiles_[m].switching();
     require(std::equal(fresh_sw.begin(), fresh_sw.end(), inc_sw.begin(),
                        inc_sw.end()),
             "self_check: switching-count profile mismatch");
-    const auto fresh_i = fresh.profiles_[m]->current_ua();
-    const auto inc_i = profiles_[m]->current_ua();
+    const auto fresh_i = fresh.profiles_[m].current_ua();
+    const auto inc_i = profiles_[m].current_ua();
     for (std::size_t t = 0; t < fresh_i.size(); ++t)
       require(math::rel_diff(fresh_i[t], inc_i[t]) < 1e-9,
               "self_check: current profile mismatch");
@@ -535,8 +524,8 @@ void PartitionEvaluator::self_check() {
   double settle_max = 0.0;
   std::vector<double> factors(ctx_->nl.gate_count(), 1.0);
   for (std::uint32_t m = 0; m < partition_.module_count(); ++m) {
-    derive_module_delay(profiles_[m]->max_current_ua(),
-                        profiles_[m]->max_switching(), cvr_ff_[m], hist_row(m),
+    derive_module_delay(profiles_[m].max_current_ua(),
+                        profiles_[m].max_switching(), cvr_ff_[m], hist_row(m),
                         row, area, settle);
     const auto cached = delta_row(m);
     require(std::equal(row.begin(), row.end(), cached.begin(), cached.end()),

@@ -112,17 +112,52 @@ struct CopyDroppedScratch {
   CopyDroppedScratch& operator=(CopyDroppedScratch&&) = default;
 };
 
+/// Per-module current profiles (2 * grid slots each, the bulk of an
+/// evaluator), shared copy-on-write between an evaluator and its copies:
+/// a copy takes handles, and writable() clones a profile only while
+/// another copy still holds it. So an ES child pays O(K) handle copies
+/// plus one profile per module its mutation touches. Invariant: a shared
+/// profile is always synced — the copy constructor shares synced profiles
+/// and deep-copies the others, and writes always un-share first. Shared
+/// profiles therefore see only const reads that never take the lazy sync
+/// path, and sibling copies may refresh concurrently on ExecutorPool
+/// workers without a lock.
+class SharedProfiles {
+ public:
+  SharedProfiles() = default;
+  SharedProfiles(const SharedProfiles& other);
+  SharedProfiles& operator=(const SharedProfiles& other);
+  SharedProfiles(SharedProfiles&&) = default;
+  SharedProfiles& operator=(SharedProfiles&&) = default;
+
+  /// `modules` fresh, empty profiles over `grid` slots.
+  void assign(std::size_t modules, std::size_t grid);
+  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
+  [[nodiscard]] const est::ModuleCurrentProfile& operator[](
+      std::size_t m) const noexcept {
+    return *slots_[m];
+  }
+  /// Write access to profile m: clones it first when shared.
+  [[nodiscard]] est::ModuleCurrentProfile& writable(std::size_t m);
+  /// erase_module's slot swap: the last profile takes slot m (m may be
+  /// the last), then the last slot goes.
+  void erase_by_swap(std::size_t m);
+
+ private:
+  std::vector<std::shared_ptr<est::ModuleCurrentProfile>> slots_;
+};
+
 class PartitionEvaluator {
  public:
   /// Takes ownership of the partition and fully computes all caches.
   PartitionEvaluator(const EvalContext& ctx, Partition partition);
 
   // Copyable: evolution-strategy children copy the parent and mutate.
-  // A copy shares the current profiles of the source's clean modules
-  // copy-on-write (O(K) handle copies) and deep-copies its dirty ones;
-  // see profiles_. The timing arrival state is dropped (IncrementalTiming).
-  PartitionEvaluator(const PartitionEvaluator& other);
-  PartitionEvaluator& operator=(const PartitionEvaluator& other);
+  // A copy shares the source's current profiles copy-on-write
+  // (SharedProfiles) and drops the timing arrival state
+  // (IncrementalTiming) and the probe scratch.
+  PartitionEvaluator(const PartitionEvaluator&) = default;
+  PartitionEvaluator& operator=(const PartitionEvaluator&) = default;
   PartitionEvaluator(PartitionEvaluator&&) = default;
   PartitionEvaluator& operator=(PartitionEvaluator&&) = default;
 
@@ -196,9 +231,6 @@ class PartitionEvaluator {
                            std::span<double> type_delta_row, double& area,
                            double& settle) const;
   void mark_dirty(std::uint32_t m);
-  /// move_gate's write access to a module's profile: clones it first
-  /// when another evaluator still shares it.
-  [[nodiscard]] est::ModuleCurrentProfile& writable_profile(std::uint32_t m);
 
   /// Rows of the flat [module x type] SoA matrices.
   [[nodiscard]] std::span<const std::uint32_t> hist_row(
@@ -229,20 +261,7 @@ class PartitionEvaluator {
   // contiguous memory the compiler can vectorize, a probe's overlay rows
   // are cheap span copies, and erase_module's slot swap is a copy_n
   // instead of a heap-handle shuffle.
-  //
-  // The current profiles (2 * grid slots each, the bulk of an evaluator)
-  // are shared copy-on-write between an evaluator and its copies: a copy
-  // takes handles, and move_gate clones a profile through
-  // writable_profile() only while another evaluator still holds it. So an
-  // ES child pays O(K) handle copies plus one profile per module its
-  // mutation touches. Invariant: a shared profile is always clean. A
-  // clean module's (!dirty_[m]) tree was synced by the refresh that
-  // cleared its flag, so the copy constructor shares exactly those and
-  // deep-copies dirty ones, and writes always un-share first. Shared
-  // profiles therefore see only const reads that never take the lazy
-  // sync path — sibling copies may refresh concurrently on ExecutorPool
-  // workers without a lock.
-  std::vector<std::shared_ptr<est::ModuleCurrentProfile>> profiles_;
+  SharedProfiles profiles_;
   std::vector<double> leak_ua_;
   std::vector<double> cvr_ff_;
   std::vector<double> separation_;

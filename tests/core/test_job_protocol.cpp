@@ -10,9 +10,12 @@
 
 #include <bit>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -279,6 +282,122 @@ TEST(JobProtocol, CancelOpCancelsTheSweep) {
   ASSERT_EQ(sweep_done.size(), 1u);
   EXPECT_EQ(sweep_done[0]->get_u64("cancelled"), 1u);
   EXPECT_EQ(events_of_kind(events, "row").size(), 0u);
+}
+
+/// A channel that hands out its request lines one by one, each after the
+/// first only once a sweep_done event has been written for every submit
+/// already read — so a test can act on a sweep that has finished. `hook`
+/// runs on the session thread just before line i > 0 is handed out.
+class AfterSweepDoneChannel final : public support::LineChannel {
+ public:
+  AfterSweepDoneChannel(std::vector<std::string> lines,
+                        std::function<void(std::size_t)> hook)
+      : lines_(std::move(lines)), hook_(std::move(hook)) {}
+
+  bool read_line(std::string& out) override {
+    if (next_ == lines_.size()) return false;
+    if (next_ > 0) {
+      std::unique_lock lock(mutex_);
+      if (!cv_.wait_for(lock, std::chrono::seconds(60),
+                        [this] { return sweeps_done_ >= submits_read_; }))
+        return false;
+    }
+    if (next_ > 0) hook_(next_);
+    out = lines_[next_++];
+    if (out.find(R"("op":"submit")") != std::string::npos) ++submits_read_;
+    return true;
+  }
+  bool write_line(std::string_view line) override {
+    const std::scoped_lock lock(mutex_);
+    written_.emplace_back(line);
+    if (line.find(R"("event":"sweep_done")") != std::string_view::npos) {
+      ++sweeps_done_;
+      cv_.notify_all();
+    }
+    return true;
+  }
+  std::vector<json::JsonValue> events() {
+    const std::scoped_lock lock(mutex_);
+    std::vector<json::JsonValue> out;
+    for (const auto& line : written_) {
+      auto event = json::JsonValue::parse(line);
+      EXPECT_TRUE(event.has_value()) << "unparseable event: " << line;
+      if (event) out.push_back(std::move(*event));
+    }
+    return out;
+  }
+
+ private:
+  std::vector<std::string> lines_;
+  std::function<void(std::size_t)> hook_;
+  std::size_t next_ = 0;          // session thread only
+  std::size_t submits_read_ = 0;  // session thread only
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::size_t sweeps_done_ = 0;
+  std::vector<std::string> written_;
+};
+
+/// Polls until the session has released every job (its finishing sink
+/// drops them just after posting sweep_done); false after 10 s.
+bool wait_until_untracked(JobProtocolSession& session) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (session.tracked_jobs() != 0) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(JobProtocol, FinishedSweepReleasesItsJobsAndIgnoresCancel) {
+  // A long-lived session (a cluster backend's) must not keep finished
+  // jobs — their rows and partitions — and cancelling a finished sweep is
+  // a silent no-op, not an "unknown sweep id" error.
+  const auto library = lib::default_library();
+  const auto service = make_service(library, 2, quick_config());
+  JobProtocolSession* session_ptr = nullptr;
+  std::vector<bool> released;
+  AfterSweepDoneChannel channel(
+      {R"({"op":"submit","id":"a","circuits":["ca","cb"],)"
+       R"("methods":["standard"]})",
+       R"({"op":"cancel","id":"a"})",
+       R"({"op":"submit","id":"b","circuits":["cc"],)"
+       R"("methods":["standard"]})"},
+      [&](std::size_t) { released.push_back(wait_until_untracked(*session_ptr)); });
+  JobProtocolSession session(*service, channel);
+  session_ptr = &session;
+  (void)session.run();
+
+  EXPECT_EQ(released, (std::vector<bool>{true, true}));
+  EXPECT_EQ(session.tracked_jobs(), 0u);
+  const auto events = channel.events();
+  EXPECT_EQ(events_of_kind(events, "error").size(), 0u);
+  const auto sweep_done = events_of_kind(events, "sweep_done");
+  ASSERT_EQ(sweep_done.size(), 2u);
+  EXPECT_EQ(sweep_done[0]->get_u64("ok"), 2u);
+  EXPECT_EQ(sweep_done[0]->get_u64("cancelled"), 0u);
+  EXPECT_EQ(sweep_done[1]->get_u64("ok"), 1u);
+}
+
+TEST(JobProtocol, FastSweepThenEofStillDeliversSweepDone) {
+  // A one-shard sweep can finish on a worker before the session thread
+  // registers its handle; EOF right after must still wait for that
+  // shard's sink, so sweep_done is the last event of every session (and
+  // the sink never posts to a torn-down writer — TSan/ASan legs).
+  const auto library = lib::default_library();
+  const auto service = make_service(library, 2, quick_config());
+  for (int round = 0; round < 40; ++round) {
+    SCOPED_TRACE(round);
+    const std::string circuit = round % 2 == 0 ? "bad" : "ca";
+    const auto events = run_session(
+        *service, R"({"op":"submit","id":"q","circuits":[")" + circuit +
+                      R"("],"methods":["standard"]})"
+                      "\n");
+    ASSERT_FALSE(events.empty());
+    EXPECT_EQ(events_of_kind(events, "sweep_done").size(), 1u);
+    EXPECT_EQ(events.back().get_string("event"), "sweep_done");
+  }
 }
 
 TEST(JobProtocol, MaxQueueBoundRejectsSubmitWithErrorEvent) {

@@ -1,5 +1,5 @@
 // Copy-on-write module profiles: a copied evaluator shares its source's
-// clean current profiles, so every move on either side must leave the
+// synced current profiles, so every move on either side must leave the
 // other side bit-identical to an evaluator that never shared anything.
 // Each lineage below runs next to an unshared twin — a fresh evaluator on
 // the same start partition with the same move log replayed — and every
@@ -20,6 +20,7 @@
 #include "core/start_partition.hpp"
 #include "netlist/gen/random_dag.hpp"
 #include "partition/evaluator.hpp"
+#include "support/bitset.hpp"
 #include "support/executor.hpp"
 #include "support/rng.hpp"
 
@@ -236,6 +237,38 @@ TEST(SharedProfiles, CopiesOfDirtyEvaluators) {
   expect_matches_twin(copy_b, f);
 }
 
+// The sharing rule itself: a copy aliases exactly the synced profiles, a
+// write un-shares before it lands, and the slot swap keeps each handle.
+TEST(SharedProfiles, CopySharesOnlySyncedProfiles) {
+  DynamicBitset times(8);
+  times.set(3);
+  SharedProfiles source;
+  source.assign(3, 8);
+  for (std::size_t m = 0; m < 3; ++m) source.writable(m).add_gate(times, 1.0);
+  (void)source[0].max_current_ua();  // syncs profiles 0 and 2 only
+  (void)source[2].max_current_ua();
+
+  SharedProfiles copy = source;
+  EXPECT_EQ(&copy[0], &source[0]);
+  EXPECT_NE(&copy[1], &source[1]);  // stale: a private deep copy
+  EXPECT_TRUE(copy[1] == source[1]);
+  EXPECT_EQ(&copy[2], &source[2]);
+
+  copy.writable(0).add_gate(times, 2.0);
+  EXPECT_NE(&copy[0], &source[0]);
+  EXPECT_DOUBLE_EQ(source[0].max_current_ua(), 1.0);
+  EXPECT_DOUBLE_EQ(copy[0].max_current_ua(), 3.0);
+
+  const auto* last = &copy[2];
+  copy.erase_by_swap(0);
+  ASSERT_EQ(copy.size(), 2u);
+  EXPECT_EQ(&copy[0], last);
+  EXPECT_EQ(&copy[0], &source[2]);
+  copy.erase_by_swap(1);
+  ASSERT_EQ(copy.size(), 1u);
+  EXPECT_EQ(&copy[0], &source[2]);
+}
+
 /// Runs body(0) and body(1) on the pool's two threads at once: each body
 /// starts only after both indices were claimed, so the calling thread
 /// cannot finish the pair alone before the worker wakes up.
@@ -267,7 +300,7 @@ TEST(SharedProfiles, SiblingsRefreshConcurrently) {
       (void)siblings[i].eval.fitness();
     });
 
-    // Worker-side copies: each worker copies the (clean) parent and moves
+    // Worker-side copies: each worker copies the (synced) parent and moves
     // one gate in its copy, so clones of shared profiles race only with
     // const reads.
     const auto& p = parent.eval.partition();
