@@ -14,13 +14,20 @@
 
 namespace iddq::bench {
 
+/// The paper's ES parameters plus the seed the benches run it at. The
+/// seed is a per-run input (OptimizerRequest / FlowRunOptions::seed);
+/// assigning `es` to a core::EsParams keeps only the tuning knobs.
+struct PaperEs : core::EsParams {
+  std::uint64_t seed = 42;
+};
+
 /// The paper's flow parameters; a bench copies them into a
-/// core::FlowEngineConfig and runs the ES at seed `es.seed`.
+/// core::FlowEngineConfig and runs each method at seed `es.seed`.
 struct PaperParams {
   elec::SensorSpec sensor;
   part::CostWeights weights;
   std::uint32_t rho = 4;  // separation saturation distance
-  core::EsParams es;
+  PaperEs es;
 };
 
 /// The flow configuration used by the Table 1 reproduction. The evolution

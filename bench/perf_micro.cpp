@@ -286,7 +286,7 @@ void BM_EsOffspring(benchmark::State& state) {
   for (auto _ : state) {
     part::PartitionEvaluator child = f.parent;
     const auto m = static_cast<std::uint32_t>(rng.index(k));
-    auto boundary = core::EvolutionEngine::boundary_gates(child, m);
+    auto boundary = core::boundary_gates(child, m);
     rng.shuffle(boundary);
     boundary.resize(std::min<std::size_t>(boundary.size(), 4));
     for (const netlist::GateId g : boundary) {
@@ -312,7 +312,7 @@ void BM_BoundaryGates(benchmark::State& state) {
   std::uint32_t m = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::EvolutionEngine::boundary_gates(eval, m));
+        core::boundary_gates(eval, m));
     m = (m + 1) % eval.partition().module_count();
   }
 }
@@ -532,11 +532,12 @@ void BM_EvolutionGeneration(benchmark::State& state) {
   params.chi = 2;
   params.max_generations = 1;
   params.stall_generations = 1;
-  params.seed = 7;
-  for (auto _ : state) {
-    core::EvolutionEngine engine(ctx, params);
-    benchmark::DoNotOptimize(engine.run_with_module_count(6));
-  }
+  core::OptimizerRequest request;
+  request.ctx = &ctx;
+  request.module_count = 6;
+  request.seed = 7;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(core::run_evolution(request, params));
 }
 BENCHMARK(BM_EvolutionGeneration)->Unit(benchmark::kMillisecond);
 
@@ -552,12 +553,13 @@ void BM_EvolutionGenerationThreads(benchmark::State& state) {
   params.chi = 2;
   params.max_generations = 2;
   params.stall_generations = 2;
-  params.seed = 7;
-  params.pool = &pool;
-  for (auto _ : state) {
-    core::EvolutionEngine engine(ctx, params);
-    benchmark::DoNotOptimize(engine.run_with_module_count(6));
-  }
+  core::OptimizerRequest request;
+  request.ctx = &ctx;
+  request.module_count = 6;
+  request.seed = 7;
+  request.pool = &pool;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(core::run_evolution(request, params));
 }
 BENCHMARK(BM_EvolutionGenerationThreads)
     ->Arg(1)
@@ -571,15 +573,17 @@ void BM_TabuRoundsThreads(benchmark::State& state) {
   const auto& ctx = context();
   support::ExecutorPool pool(static_cast<std::size_t>(state.range(0)));
   Rng rng(6);
-  const auto start = core::make_start_partition(circuit(), 6, rng);
+  core::OptimizerRequest request;
+  request.ctx = &ctx;
+  request.start = core::make_start_partition(circuit(), 6, rng);
+  request.seed = 9;
+  request.pool = &pool;
   core::TabuParams params;
   params.iterations = 8;
   params.candidates = 16;
   params.stall_iterations = 8;
-  params.seed = 9;
-  params.pool = &pool;
   for (auto _ : state)
-    benchmark::DoNotOptimize(core::tabu_search(ctx, start, params));
+    benchmark::DoNotOptimize(core::run_tabu(request, params));
 }
 BENCHMARK(BM_TabuRoundsThreads)
     ->Arg(1)

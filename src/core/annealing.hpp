@@ -14,36 +14,29 @@
 
 #include <cstdint>
 
-#include "core/evolution.hpp"
-#include "core/step_callback.hpp"
-#include "partition/evaluator.hpp"
-#include "support/rng.hpp"
+#include "core/optimizer.hpp"
 
 namespace iddq::core {
 
+/// Tuning knobs of the annealer (the per-run inputs come from the
+/// OptimizerRequest).
 struct SaParams {
   std::size_t steps = 20000;
   double initial_acceptance = 0.3;  // calibrates T0 from sampled deltas
   double cooling = 0.995;           // geometric factor per temperature stage
   std::size_t stage_length = 100;   // steps per temperature stage
   double violation_penalty = 1.0e4;
-  std::uint64_t seed = 1;
-  /// Per-run progress fields (like seed, not hashed into cache keys):
-  /// on_step fires every `progress_every` steps when set (0 disables).
-  std::size_t progress_every = 1000;
-  StepCallback on_step;
 };
 
-struct SaResult {
-  part::Partition best_partition{1, 1};
-  part::Fitness best_fitness;
-  part::Costs best_costs;
-  std::size_t accepted = 0;
-  std::size_t evaluations = 0;
-};
+/// Steps between two live progress reports of the annealer.
+inline constexpr std::size_t kAnnealingProgressEvery = 1000;
 
-[[nodiscard]] SaResult simulated_annealing(const part::EvalContext& ctx,
-                                           const part::Partition& start,
-                                           const SaParams& params);
+/// Anneals from request.start_partition() with its own Rng(request.seed).
+/// request.max_evaluations, when set, replaces params.steps. Reports every
+/// kAnnealingProgressEvery steps, then once on completion. `iterations`
+/// and `evaluations` both count objective evaluations. Throws iddq::Error
+/// on invalid parameters.
+[[nodiscard]] OptimizerOutcome run_annealing(const OptimizerRequest& request,
+                                             const SaParams& params);
 
 }  // namespace iddq::core

@@ -2,49 +2,61 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
+#include "core/neighborhood.hpp"
 #include "core/start_partition.hpp"
 #include "support/error.hpp"
 #include "support/executor.hpp"
+#include "support/rng.hpp"
 
 namespace iddq::core {
+namespace {
 
-EvolutionEngine::EvolutionEngine(const part::EvalContext& ctx,
-                                 EsParams params)
-    : ctx_(&ctx), params_(params), rng_(params.seed) {
+class EvolutionEngine {
+ public:
+  EvolutionEngine(const OptimizerRequest& request, const EsParams& params);
+
+  /// Runs from explicit start partitions (their number may differ from mu;
+  /// they are cycled to fill the initial population).
+  [[nodiscard]] OptimizerOutcome run(std::span<const part::Partition> starts);
+
+  /// Builds mu chain-clustered start partitions with `module_count`
+  /// modules (section 4.2) and runs.
+  [[nodiscard]] OptimizerOutcome run_with_module_count(
+      std::size_t module_count);
+
+ private:
+  struct Individual {
+    part::PartitionEvaluator eval;
+    part::Fitness fitness;
+    std::uint32_t step_width = 1;
+    std::size_t age = 0;
+  };
+
+  void mutate(Individual& child);
+  void monte_carlo(Individual& child);
+  [[nodiscard]] std::uint32_t vary_step_width(std::uint32_t m);
+
+  const OptimizerRequest* request_;
+  const part::EvalContext* ctx_;
+  EsParams params_;
+  Rng rng_;
+};
+
+EvolutionEngine::EvolutionEngine(const OptimizerRequest& request,
+                                 const EsParams& params)
+    : request_(&request),
+      ctx_(&request.context()),
+      params_(params),
+      rng_(request.seed) {
   require(params_.mu >= 1, "evolution: mu must be >= 1");
   require(params_.lambda + params_.chi >= 1,
           "evolution: need at least one descendant per parent");
   require(params_.m0 >= 1 && params_.m0 <= params_.m_max,
           "evolution: step width out of range");
   require(params_.kappa >= 1, "evolution: kappa must be >= 1");
-}
-
-std::vector<netlist::GateId> EvolutionEngine::boundary_gates(
-    const part::PartitionEvaluator& eval, std::uint32_t m) {
-  const auto& nl = eval.context().nl;
-  const auto& p = eval.partition();
-  std::vector<netlist::GateId> boundary;
-  for (const netlist::GateId g : p.module(m)) {
-    bool is_boundary = false;
-    const auto& gate = nl.gate(g);
-    for (const netlist::GateId f : gate.fanins) {
-      if (netlist::is_logic(nl.gate(f).kind) && p.module_of(f) != m) {
-        is_boundary = true;
-        break;
-      }
-    }
-    if (!is_boundary) {
-      for (const netlist::GateId f : gate.fanouts) {
-        if (p.module_of(f) != m) {  // fanouts are always logic gates
-          is_boundary = true;
-          break;
-        }
-      }
-    }
-    if (is_boundary) boundary.push_back(g);
-  }
-  return boundary;
 }
 
 std::uint32_t EvolutionEngine::vary_step_width(std::uint32_t m) {
@@ -77,22 +89,12 @@ void EvolutionEngine::mutate(Individual& child) {
   rng_.shuffle(boundary);
   boundary.resize(m_move);
 
+  std::vector<std::uint32_t> targets;
   for (const netlist::GateId g : boundary) {
     // The gate moves into a random neighbouring module it connects with.
     // (Earlier moves of this mutation may have changed memberships, so the
     // neighbour set is recomputed per gate.)
-    const auto& nl = ctx_->nl;
-    const std::uint32_t src = eval.partition().module_of(g);
-    std::vector<std::uint32_t> targets;
-    const auto consider = [&](netlist::GateId f) {
-      if (!netlist::is_logic(nl.gate(f).kind)) return;
-      const std::uint32_t m = eval.partition().module_of(f);
-      if (m != src &&
-          std::find(targets.begin(), targets.end(), m) == targets.end())
-        targets.push_back(m);
-    };
-    for (const netlist::GateId f : nl.gate(g).fanins) consider(f);
-    for (const netlist::GateId f : nl.gate(g).fanouts) consider(f);
+    neighbor_modules(eval, g, eval.partition().module_of(g), targets);
     if (targets.empty()) continue;  // became interior; skip
     eval.move_gate(g, targets[rng_.index(targets.size())]);
     if (eval.partition().module_count() < 2) break;
@@ -125,7 +127,8 @@ void EvolutionEngine::monte_carlo(Individual& child) {
   }
 }
 
-EsResult EvolutionEngine::run_with_module_count(std::size_t module_count) {
+OptimizerOutcome EvolutionEngine::run_with_module_count(
+    std::size_t module_count) {
   std::vector<part::Partition> starts;
   starts.reserve(params_.mu);
   for (std::size_t i = 0; i < params_.mu; ++i)
@@ -133,7 +136,8 @@ EsResult EvolutionEngine::run_with_module_count(std::size_t module_count) {
   return run(starts);
 }
 
-EsResult EvolutionEngine::run(std::span<const part::Partition> starts) {
+OptimizerOutcome EvolutionEngine::run(
+    std::span<const part::Partition> starts) {
   require(!starts.empty(), "evolution: need at least one start partition");
 
   std::vector<Individual> parents;
@@ -145,13 +149,14 @@ EsResult EvolutionEngine::run(std::span<const part::Partition> starts) {
   // Fitness consumes no randomness and touches only the individual's own
   // evaluator, so the initial population (and every generation's children
   // below) evaluates in parallel without perturbing the trajectory.
-  support::parallel_for_indexed(params_.pool, parents.size(),
+  support::parallel_for_indexed(request_->pool, parents.size(),
                                 [&parents](std::size_t i) {
                                   parents[i].fitness =
                                       parents[i].eval.fitness();
                                 });
 
-  EsResult result;
+  OptimizerOutcome result;
+  result.method = "evolution";
   result.evaluations = parents.size();
   auto best = parents.front();
   for (const auto& p : parents)
@@ -201,7 +206,7 @@ EsResult EvolutionEngine::run(std::span<const part::Partition> starts) {
     if (pool.empty()) break;  // all parents expired with no children
 
     // Worker phase: evaluate the generation's descendants concurrently.
-    support::parallel_for_indexed(params_.pool, fresh.size(),
+    support::parallel_for_indexed(request_->pool, fresh.size(),
                                   [&pool, &fresh](std::size_t i) {
                                     Individual& child = pool[fresh[i]];
                                     child.fitness = child.eval.fitness();
@@ -222,9 +227,9 @@ EsResult EvolutionEngine::run(std::span<const part::Partition> starts) {
     } else {
       ++stall;
     }
-    result.generations = gen + 1;
+    result.iterations = gen + 1;
 
-    if (params_.record_trace || params_.on_generation) {
+    if (request_->record_trace || request_->on_progress) {
       GenerationStats stats;
       stats.generation = gen + 1;
       stats.best = best.fitness;
@@ -234,16 +239,27 @@ EsResult EvolutionEngine::run(std::span<const part::Partition> starts) {
       stats.module_count = best.eval.partition().module_count();
       stats.best_step_width = parents.front().step_width;
       stats.evaluations = result.evaluations;
-      if (params_.on_generation) params_.on_generation(stats);
-      if (params_.record_trace) result.trace.push_back(stats);
+      request_->report(result.method, stats.generation, stats.evaluations,
+                       stats.best);
+      if (request_->record_trace) result.trace.push_back(stats);
     }
     if (stall >= params_.stall_generations) break;
   }
 
-  result.best_partition = best.eval.partition();
-  result.best_fitness = best.fitness;
-  result.best_costs = best.eval.costs();
+  result.partition = best.eval.partition();
+  result.fitness = best.fitness;
+  result.costs = best.eval.costs();
+  request_->report(result);
   return result;
+}
+
+}  // namespace
+
+OptimizerOutcome run_evolution(const OptimizerRequest& request,
+                               const EsParams& params) {
+  EvolutionEngine engine(request, params);
+  if (request.start) return engine.run({&*request.start, 1});
+  return engine.run_with_module_count(request.resolved_module_count());
 }
 
 }  // namespace iddq::core

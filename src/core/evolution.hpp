@@ -24,27 +24,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
-#include <span>
-#include <vector>
 
-#include "partition/evaluator.hpp"
-#include "support/rng.hpp"
-
-namespace iddq::support {
-class ExecutorPool;
-}
+#include "core/optimizer.hpp"
 
 namespace iddq::core {
 
-struct GenerationStats;
-
-/// Per-generation observer (live --progress, JobEvent::progress). Called
-/// after selection, every generation; must not mutate anything the search
-/// reads — it cannot affect the trajectory, only report it.
-using GenerationCallback = std::function<void(const GenerationStats&)>;
-
+/// Tuning knobs of the evolution strategy (the per-run inputs come from
+/// the OptimizerRequest).
 struct EsParams {
   std::size_t mu = 8;        // parents
   std::size_t lambda = 7;    // mutation children per parent
@@ -55,72 +41,21 @@ struct EsParams {
   double epsilon = 1.0;      // std-dev of the step-width mutation
   std::size_t max_generations = 300;
   std::size_t stall_generations = 40;  // stop after this many without gain
-  std::uint64_t seed = 1;
-  bool record_trace = false;
-  /// Like seed/record_trace, a per-run field, not a tuning knob: excluded
-  /// from the result-cache context fingerprint.
-  GenerationCallback on_generation;
-  /// Evaluates the descendants of each generation in parallel when set
-  /// (nullptr = serial). Every random draw and every mutation happens on
-  /// the coordinator thread in the fixed single-threaded order — workers
-  /// only compute fitness of finished children into pre-indexed slots —
-  /// so results are byte-identical at any thread count, including to the
-  /// historical serial trajectory. Per-run field like seed, excluded from
-  /// the cache fingerprint.
-  support::ExecutorPool* pool = nullptr;
 };
 
-struct GenerationStats {
-  std::size_t generation = 0;
-  part::Fitness best;
-  double mean_cost = 0.0;      // over surviving parents
-  std::size_t module_count = 0;  // of the best individual
-  std::uint32_t best_step_width = 0;
-  std::size_t evaluations = 0;  // cumulative, whole run
-};
-
-struct EsResult {
-  part::Partition best_partition{1, 1};
-  part::Fitness best_fitness;
-  part::Costs best_costs;
-  std::size_t generations = 0;
-  std::size_t evaluations = 0;
-  std::vector<GenerationStats> trace;
-};
-
-class EvolutionEngine {
- public:
-  EvolutionEngine(const part::EvalContext& ctx, EsParams params);
-
-  /// Runs from explicit start partitions (their number may differ from mu;
-  /// they are cycled/varied to fill the initial population).
-  [[nodiscard]] EsResult run(std::span<const part::Partition> starts);
-
-  /// Convenience: builds mu chain-clustered start partitions with
-  /// `module_count` modules (section 4.2) and runs.
-  [[nodiscard]] EsResult run_with_module_count(std::size_t module_count);
-
-  /// Boundary gates of module `m`: gates directly connected (fan-in or
-  /// fan-out) to a logic gate outside m. Exposed for tests and the c17
-  /// trace bench.
-  [[nodiscard]] static std::vector<netlist::GateId> boundary_gates(
-      const part::PartitionEvaluator& eval, std::uint32_t m);
-
- private:
-  struct Individual {
-    part::PartitionEvaluator eval;
-    part::Fitness fitness;
-    std::uint32_t step_width = 1;
-    std::size_t age = 0;
-  };
-
-  void mutate(Individual& child);
-  void monte_carlo(Individual& child);
-  [[nodiscard]] std::uint32_t vary_step_width(std::uint32_t m);
-
-  const part::EvalContext* ctx_;
-  EsParams params_;
-  Rng rng_;
-};
+/// Runs the evolution strategy. The population starts from copies of
+/// `request.start` when set, otherwise from mu chain-clustered start
+/// partitions with request.resolved_module_count() modules (section 4.2)
+/// drawn from the search's own Rng(request.seed). Reports every generation
+/// after selection, then once on completion; records the per-generation
+/// trace when request.record_trace is set. With request.pool the
+/// descendants of each generation evaluate in parallel: every random draw
+/// and every mutation happens on the coordinator thread in the fixed
+/// serial order, and workers only compute the fitness of finished children
+/// into pre-indexed slots, so the outcome is byte-identical at any thread
+/// count. `iterations` counts generations. Throws iddq::Error on invalid
+/// parameters.
+[[nodiscard]] OptimizerOutcome run_evolution(const OptimizerRequest& request,
+                                             const EsParams& params);
 
 }  // namespace iddq::core

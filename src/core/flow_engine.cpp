@@ -37,11 +37,9 @@ double standard_area_overhead_pct(const MethodResult& evolution,
 
 FlowEngine::FlowEngine(const netlist::Netlist& nl,
                        const lib::CellLibrary& library,
-                       FlowEngineConfig config,
-                       const OptimizerRegistry& registry)
+                       FlowEngineConfig config)
     : nl_(&nl),
       config_(std::move(config)),
-      registry_(&registry),
       ctx_(nl, library, config_.sensor, config_.weights, config_.rho),
       plan_(plan_module_size(ctx_)) {
   // The fingerprint hashes the coverage options in canonical fault-model
@@ -119,11 +117,8 @@ MethodResult FlowEngine::from_cache_record(const CacheRecord& record) {
 MethodResult FlowEngine::run_method(std::string_view spec,
                                     const RunOptions& options) {
   // Traced runs bypass the cache: the trace is not persisted, so a hit
-  // could not reproduce it. Tracing can be requested per run or through
-  // the ES config (EvolutionOptimizer ORs the two flags).
-  const bool traced =
-      options.record_trace || config_.optimizers.es.record_trace;
-  const bool cacheable = config_.cache != nullptr && !traced;
+  // could not reproduce it.
+  const bool cacheable = config_.cache != nullptr && !options.record_trace;
   std::uint64_t key = 0;
   if (cacheable) {
     key = cache_key(context_fp_, spec, options.seed, options.max_evaluations,
@@ -138,7 +133,7 @@ MethodResult FlowEngine::run_method(std::string_view spec,
     }
   }
 
-  const auto optimizer = registry_->make(spec, config_.optimizers);
+  const auto plan = OptimizerRegistry::global().make(spec, config_.optimizers);
 
   OptimizerRequest request;
   request.ctx = &ctx_;
@@ -153,12 +148,12 @@ MethodResult FlowEngine::run_method(std::string_view spec,
                      ? config_.pool
                      : &support::ExecutorPool::shared_default();
 
-  OptimizerOutcome outcome = optimizer->run(request);
+  OptimizerOutcome outcome = plan->run(request);
   MethodResult result =
       evaluate_method(ctx_, std::move(outcome.method), outcome.partition);
   // Keep the optimizer's own fitness/costs: identical to the re-evaluation
   // up to the incremental evaluator's floating-point trajectory, and the
-  // values the equivalence tests pin against the direct entry points.
+  // values the method goldens pin.
   result.fitness = outcome.fitness;
   result.costs = outcome.costs;
   result.delay_overhead = outcome.costs.c2;

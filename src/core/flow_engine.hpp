@@ -137,11 +137,9 @@ class FlowEngine {
   using RunOptions = FlowRunOptions;
 
   /// Precomputes the EvalContext and the module-size plan. `nl` and
-  /// `library` must outlive the engine; `registry` defaults to the global
-  /// registry and must also outlive the engine.
+  /// `library` must outlive the engine.
   FlowEngine(const netlist::Netlist& nl, const lib::CellLibrary& library,
-             FlowEngineConfig config = {},
-             const OptimizerRegistry& registry = OptimizerRegistry::global());
+             FlowEngineConfig config = {});
   ~FlowEngine();
 
   [[nodiscard]] const SizePlan& plan() const noexcept { return plan_; }
@@ -152,7 +150,7 @@ class FlowEngine {
     return *nl_;
   }
 
-  /// Runs one optimizer spec (a registered name or '+'-composed pipeline).
+  /// Runs one optimizer spec (a method name, '+' pipeline or portfolio).
   [[nodiscard]] MethodResult run_method(std::string_view spec,
                                         const RunOptions& options = {});
 
@@ -185,7 +183,6 @@ class FlowEngine {
 
   const netlist::Netlist* nl_;
   FlowEngineConfig config_;
-  const OptimizerRegistry* registry_;
   part::EvalContext ctx_;
   SizePlan plan_;
   std::uint64_t context_fp_ = 0;

@@ -73,4 +73,21 @@ part::Partition force_directed_partition(const netlist::Netlist& nl,
   return partition;
 }
 
+OptimizerOutcome run_force(const OptimizerRequest& request,
+                           std::size_t passes) {
+  const part::EvalContext& ctx = request.context();
+  part::PartitionEvaluator eval(
+      ctx, force_directed_partition(ctx.nl, request.resolved_module_count(),
+                                    passes));
+  OptimizerOutcome out;
+  out.method = "force";
+  out.fitness = eval.fitness();
+  out.costs = eval.costs();
+  out.partition = eval.partition();
+  out.iterations = passes;
+  out.evaluations = 1;
+  request.report(out);
+  return out;
+}
+
 }  // namespace iddq::core

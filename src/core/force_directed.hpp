@@ -17,6 +17,7 @@
 
 #include <cstddef>
 
+#include "core/optimizer.hpp"
 #include "netlist/netlist.hpp"
 #include "partition/partition.hpp"
 
@@ -28,5 +29,12 @@ namespace iddq::core {
 [[nodiscard]] part::Partition force_directed_partition(
     const netlist::Netlist& nl, std::size_t module_count,
     std::size_t passes = 60);
+
+/// The construction as a search method: one evaluation of the
+/// force-directed partition with request.resolved_module_count() modules.
+/// Seed-independent; a request.start contributes only its module count.
+/// `iterations` counts the relaxation passes.
+[[nodiscard]] OptimizerOutcome run_force(const OptimizerRequest& request,
+                                         std::size_t passes);
 
 }  // namespace iddq::core

@@ -124,11 +124,9 @@ bool JobHandle::wait_for(std::chrono::milliseconds timeout) const {
                            [this] { return is_terminal(ctl_->state); });
 }
 
-JobService::JobService(const lib::CellLibrary& library, Config config,
-                       const OptimizerRegistry& registry)
+JobService::JobService(const lib::CellLibrary& library, Config config)
     : library_(&library),
       config_(std::move(config)),
-      registry_(&registry),
       loader_([](const std::string& spec) {
         return netlist::load_circuit(spec);
       }) {
@@ -235,7 +233,7 @@ void JobService::execute(detail::JobControl& job) {
     FlowEngineConfig flow = config_.flow;
     if (job.spec.cache_policy == JobSpec::CachePolicy::bypass)
       flow.cache = nullptr;
-    FlowEngine engine(nl, *library_, flow, *registry_);
+    FlowEngine engine(nl, *library_, flow);
     result.plan = engine.plan();
 
     FlowSequenceOptions sequence;

@@ -19,8 +19,8 @@
 //
 // Cancellation is cooperative: cancel() sets a flag the sequence polls
 // before each method and at every live progress tick (evolution reports
-// per generation, annealing/tabu every progress_every steps), so a cancel
-// lands mid-run within one tick, not after the method completes. Rows
+// per generation, annealing every 1000 steps, tabu every 25 rounds), so a
+// cancel lands mid-run within one tick, not after the method completes. Rows
 // already produced remain available in the terminal JobResult.
 #pragma once
 
@@ -35,7 +35,6 @@
 
 #include "core/job_event.hpp"
 #include "core/job_queue.hpp"
-#include "core/optimizer_registry.hpp"
 #include "library/cell_library.hpp"
 
 namespace iddq::core {
@@ -128,9 +127,9 @@ class JobHandle {
   std::shared_ptr<detail::JobControl> ctl_;
 };
 
-/// Long-lived worker-pool service. `library` and `registry` must outlive
-/// it; the FlowEngineConfig (including the shared ResultCache pointer) is
-/// copied per job. Destruction drains: queued jobs still run, then the
+/// Long-lived worker-pool service. `library` must outlive it; the
+/// FlowEngineConfig (including the shared ResultCache pointer) is copied
+/// per job. Destruction drains: queued jobs still run, then the
 /// workers join — every handle's wait() is guaranteed to return.
 class JobService {
  public:
@@ -140,9 +139,7 @@ class JobService {
 
   using Config = JobServiceConfig;
 
-  explicit JobService(
-      const lib::CellLibrary& library, Config config = {},
-      const OptimizerRegistry& registry = OptimizerRegistry::global());
+  explicit JobService(const lib::CellLibrary& library, Config config = {});
   ~JobService();
 
   JobService(const JobService&) = delete;
@@ -198,7 +195,6 @@ class JobService {
 
   const lib::CellLibrary* library_;
   Config config_;
-  const OptimizerRegistry* registry_;
   CircuitLoader loader_;
 
   JobQueue<std::shared_ptr<detail::JobControl>> queue_;

@@ -3,9 +3,34 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/evolution.hpp"
-
 namespace iddq::core {
+
+std::vector<netlist::GateId> boundary_gates(
+    const part::PartitionEvaluator& eval, std::uint32_t m) {
+  const auto& nl = eval.context().nl;
+  const auto& p = eval.partition();
+  std::vector<netlist::GateId> boundary;
+  for (const netlist::GateId g : p.module(m)) {
+    bool is_boundary = false;
+    const auto& gate = nl.gate(g);
+    for (const netlist::GateId f : gate.fanins) {
+      if (netlist::is_logic(nl.gate(f).kind) && p.module_of(f) != m) {
+        is_boundary = true;
+        break;
+      }
+    }
+    if (!is_boundary) {
+      for (const netlist::GateId f : gate.fanouts) {
+        if (p.module_of(f) != m) {  // fanouts are always logic gates
+          is_boundary = true;
+          break;
+        }
+      }
+    }
+    if (is_boundary) boundary.push_back(g);
+  }
+  return boundary;
+}
 
 double penalized_objective(part::PartitionEvaluator& eval,
                            double violation_penalty) {
@@ -43,7 +68,7 @@ GateMove sample_boundary_move(const part::PartitionEvaluator& eval,
   for (int attempt = 0; attempt < 32; ++attempt) {
     const auto src = static_cast<std::uint32_t>(rng.index(p.module_count()));
     if (p.module_size(src) <= 1) continue;  // would empty the module
-    const auto boundary = EvolutionEngine::boundary_gates(eval, src);
+    const auto boundary = boundary_gates(eval, src);
     if (boundary.empty()) continue;
     const netlist::GateId g = boundary[rng.index(boundary.size())];
     neighbor_modules(eval, g, src, targets);

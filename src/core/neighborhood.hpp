@@ -1,17 +1,25 @@
-// Shared move neighbourhood of the local-search optimizers.
+// Shared move neighbourhood of the search methods.
 //
-// Simulated annealing (core/annealing.hpp) and tabu search (core/tabu.hpp)
-// explore the same neighbourhood as the ES mutation: relocate a boundary
-// gate of one module into a neighbouring module it is wired to. Module
-// deletion is excluded — a move never empties a module, so K stays fixed at
-// the start partition's value and both refiners stay comparable to the ES
-// at matched budgets.
+// The ES mutation (core/evolution.hpp), simulated annealing
+// (core/annealing.hpp), tabu search (core/tabu.hpp) and the greedy refiner
+// all explore one neighbourhood: relocate a boundary gate of one module
+// into a neighbouring module it is wired to. The sampler below excludes
+// module deletion — a move never empties a module, so annealing and tabu
+// keep K fixed at the start partition's value and stay comparable to the
+// ES at matched budgets.
 #pragma once
+
+#include <vector>
 
 #include "partition/evaluator.hpp"
 #include "support/rng.hpp"
 
 namespace iddq::core {
+
+/// Boundary gates of module `m`: gates directly connected (fan-in or
+/// fan-out) to a logic gate outside m, in module order.
+[[nodiscard]] std::vector<netlist::GateId> boundary_gates(
+    const part::PartitionEvaluator& eval, std::uint32_t m);
 
 /// A reversible candidate move: gate `gate` from its current module to
 /// `target`. `gate == netlist::kNoGate` means "no move found".

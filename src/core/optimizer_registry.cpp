@@ -1,154 +1,219 @@
 #include "core/optimizer_registry.hpp"
 
+#include <algorithm>
+#include <iterator>
+#include <mutex>
+#include <optional>
 #include <sstream>
 #include <utility>
 
-#include "core/portfolio.hpp"
+#include "core/force_directed.hpp"
+#include "core/random_search.hpp"
+#include "core/refiner.hpp"
+#include "core/standard_partition.hpp"
 #include "support/error.hpp"
+#include "support/executor.hpp"
+#include "support/rng.hpp"
 #include "support/strings.hpp"
 
 namespace iddq::core {
 
 namespace {
 
-// Runs registered stages in sequence; every stage after the first starts
-// from the partition the previous stage produced. Evaluations and
-// iterations accumulate; the returned partition/fitness/costs are the best
-// any stage reached (a stage that wanders off — e.g. "random" as a polish
-// stage, which only reuses the module count — cannot make the pipeline
-// worse than an earlier stage). A request budget is shared across stages:
-// each stage gets what the previous stages have not already spent.
-class CompositeOptimizer final : public Optimizer {
- public:
-  CompositeOptimizer(std::string spec,
-                     std::vector<std::unique_ptr<Optimizer>> stages)
-      : spec_(std::move(spec)), stages_(std::move(stages)) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return spec_;
-  }
-
-  [[nodiscard]] OptimizerOutcome run(
-      const OptimizerRequest& request) const override {
-    OptimizerRequest stage_request = request;
-    OptimizerOutcome best;
-    OptimizerOutcome stage;
-    std::size_t evaluations = 0;
-    std::size_t iterations = 0;
-    std::vector<GenerationStats> trace;
-    for (std::size_t i = 0; i < stages_.size(); ++i) {
-      if (request.max_evaluations > 0) {
-        if (evaluations >= request.max_evaluations) break;  // budget spent
-        stage_request.max_evaluations = request.max_evaluations - evaluations;
-      }
-      if (i > 0) stage_request.start = std::move(stage.partition);
-      stage = stages_[i]->run(stage_request);
-      evaluations += stage.evaluations;
-      iterations += stage.iterations;
-      if (trace.empty()) trace = std::move(stage.trace);
-      if (i == 0 || stage.fitness < best.fitness) {
-        best.partition = stage.partition;
-        best.fitness = stage.fitness;
-        best.costs = stage.costs;
-      }
-    }
-    best.method = spec_;
-    best.evaluations = evaluations;
-    best.iterations = iterations;
-    best.trace = std::move(trace);
-    return best;
-  }
-
- private:
-  std::string spec_;
-  std::vector<std::unique_ptr<Optimizer>> stages_;
+struct MethodRow {
+  std::string_view name;
+  OptimizerMethod run;
 };
+
+// The method table, sorted by name (names() lists it in this order).
+constexpr MethodRow kMethods[] = {
+    {"annealing",
+     [](const OptimizerRequest& r, const OptimizerConfig& c) {
+       return run_annealing(r, c.sa);
+     }},
+    {"evolution",
+     [](const OptimizerRequest& r, const OptimizerConfig& c) {
+       return run_evolution(r, c.es);
+     }},
+    {"force",
+     [](const OptimizerRequest& r, const OptimizerConfig& c) {
+       return run_force(r, c.force_passes);
+     }},
+    {"greedy",
+     [](const OptimizerRequest& r, const OptimizerConfig& c) {
+       return run_greedy(r, c.greedy_max_evaluations);
+     }},
+    {"random",
+     [](const OptimizerRequest& r, const OptimizerConfig& c) {
+       return run_random(r, c.random_samples);
+     }},
+    {"standard",
+     [](const OptimizerRequest& r, const OptimizerConfig&) {
+       return run_standard(r);
+     }},
+    {"tabu",
+     [](const OptimizerRequest& r, const OptimizerConfig& c) {
+       return run_tabu(r, c.tabu);
+     }},
+};
+static_assert(std::is_sorted(std::begin(kMethods), std::end(kMethods),
+                             [](const MethodRow& a, const MethodRow& b) {
+                               return a.name < b.name;
+                             }));
 
 }  // namespace
 
-OptimizerRegistry& OptimizerRegistry::global() {
-  static OptimizerRegistry registry = [] {
-    OptimizerRegistry r;
-    register_builtin_optimizers(r);
-    return r;
-  }();
+const OptimizerRegistry& OptimizerRegistry::global() {
+  static const OptimizerRegistry registry;
   return registry;
-}
-
-void OptimizerRegistry::add(std::string name, Factory factory) {
-  require(!name.empty(), "optimizer registry: empty name");
-  require(name.find('+') == std::string::npos,
-          "optimizer registry: '+' is reserved for composition");
-  require(static_cast<bool>(factory), "optimizer registry: null factory");
-  const auto [it, inserted] =
-      factories_.emplace(std::move(name), std::move(factory));
-  if (!inserted)
-    throw Error("optimizer registry: '" + it->first + "' already registered");
-}
-
-bool OptimizerRegistry::contains(std::string_view name) const {
-  return factories_.find(name) != factories_.end();
 }
 
 std::vector<std::string> OptimizerRegistry::names() const {
   std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) out.push_back(name);
-  return out;  // std::map iterates in sorted order
+  for (const MethodRow& row : kMethods) out.emplace_back(row.name);
+  return out;
 }
 
-std::unique_ptr<Optimizer> OptimizerRegistry::make_portfolio(
+std::unique_ptr<const OptimizerPlan> OptimizerRegistry::make(
     std::string_view spec, const OptimizerConfig& config) const {
-  const auto members_spec = spec.substr(kPortfolioPrefix.size());
-  std::vector<std::unique_ptr<Optimizer>> members;
-  std::string normalized{kPortfolioPrefix};
-  for (const auto member : str::split(members_spec, ',')) {
+  return std::make_unique<const OptimizerPlan>(spec, config);
+}
+
+OptimizerPlan::OptimizerPlan(std::string_view spec,
+                             const OptimizerConfig& config)
+    : config_(config) {
+  const auto trimmed = str::trim(spec);
+  if (!str::starts_with(trimmed, kPortfolioPrefix)) {
+    members_.push_back(parse_pipeline(spec));
+    name_ = members_.front().name;
+    return;
+  }
+  portfolio_ = true;
+  name_ = kPortfolioPrefix;
+  for (const auto member :
+       str::split(trimmed.substr(kPortfolioPrefix.size()), ',')) {
     if (member.empty())
       throw LookupError("empty method in portfolio spec '" +
                         std::string(spec) + "'");
     if (str::starts_with(member, kPortfolioPrefix))
       throw Error("portfolio members cannot nest: '" + std::string(spec) +
                   "'");
-    members.push_back(make(member, config));
-    if (members.size() > 1) normalized += ',';
-    normalized.append(members.back()->name());
+    members_.push_back(parse_pipeline(member));
+    if (members_.size() > 1) name_ += ',';
+    name_ += members_.back().name;
   }
-  if (members.empty())
-    throw LookupError("portfolio spec '" + std::string(spec) +
-                      "' needs a comma-separated method list, e.g. "
-                      "portfolio:evolution,annealing");
-  return std::make_unique<PortfolioOptimizer>(std::move(normalized),
-                                              std::move(members));
 }
 
-std::unique_ptr<Optimizer> OptimizerRegistry::make(
-    std::string_view spec, const OptimizerConfig& config) const {
-  const auto trimmed = str::trim(spec);
-  if (str::starts_with(trimmed, kPortfolioPrefix))
-    return make_portfolio(trimmed, config);
-  const auto parts = str::split(spec, '+');
-  std::vector<std::unique_ptr<Optimizer>> stages;
-  std::string normalized;
-  stages.reserve(parts.size());
-  for (const auto part : parts) {
-    const auto it = factories_.find(part);
-    if (it == factories_.end()) {
+OptimizerPlan::Pipeline OptimizerPlan::parse_pipeline(std::string_view spec) {
+  Pipeline pipeline;
+  for (const auto part : str::split(spec, '+')) {
+    const auto row =
+        std::find_if(std::begin(kMethods), std::end(kMethods),
+                     [part](const MethodRow& r) { return r.name == part; });
+    if (row == std::end(kMethods)) {
       std::ostringstream os;
       if (part.empty())
         os << "empty optimizer name in spec '" << spec << "'";
       else
         os << "unknown optimizer '" << part << "'";
       os << "; valid names:";
-      for (const auto& name : names()) os << ' ' << name;
+      for (const MethodRow& r : kMethods) os << ' ' << r.name;
       throw LookupError(os.str());
     }
-    if (!normalized.empty()) normalized += '+';
-    normalized.append(part);
-    stages.push_back(it->second(config));
+    if (!pipeline.name.empty()) pipeline.name += '+';
+    pipeline.name.append(part);
+    pipeline.stages.push_back(row->run);
   }
-  if (stages.size() == 1) return std::move(stages.front());
-  return std::make_unique<CompositeOptimizer>(std::move(normalized),
-                                              std::move(stages));
+  return pipeline;
+}
+
+OptimizerOutcome OptimizerPlan::run(const OptimizerRequest& request) const {
+  return portfolio_ ? run_portfolio(request)
+                    : run_pipeline(members_.front(), request);
+}
+
+// Runs the stages in sequence; every stage after the first starts from the
+// partition the previous stage produced. Evaluations and iterations
+// accumulate; the returned partition/fitness/costs are the best any stage
+// reached. A request budget is shared across stages: each stage gets what
+// the previous stages have not already spent.
+OptimizerOutcome OptimizerPlan::run_pipeline(
+    const Pipeline& pipeline, const OptimizerRequest& request) const {
+  if (pipeline.stages.size() == 1)
+    return pipeline.stages.front()(request, config_);
+  OptimizerRequest stage_request = request;
+  OptimizerOutcome best;
+  std::size_t evaluations = 0;
+  std::size_t iterations = 0;
+  std::vector<GenerationStats> trace;
+  for (std::size_t i = 0; i < pipeline.stages.size(); ++i) {
+    if (request.max_evaluations > 0) {
+      if (evaluations >= request.max_evaluations) break;  // budget spent
+      stage_request.max_evaluations = request.max_evaluations - evaluations;
+    }
+    OptimizerOutcome stage = pipeline.stages[i](stage_request, config_);
+    evaluations += stage.evaluations;
+    iterations += stage.iterations;
+    if (trace.empty()) trace = std::move(stage.trace);
+    if (i + 1 < pipeline.stages.size()) stage_request.start = stage.partition;
+    if (i == 0 || stage.fitness < best.fitness) best = std::move(stage);
+  }
+  best.method = pipeline.name;
+  best.evaluations = evaluations;
+  best.iterations = iterations;
+  best.trace = std::move(trace);
+  return best;
+}
+
+OptimizerOutcome OptimizerPlan::run_portfolio(
+    const OptimizerRequest& request) const {
+  const std::size_t count = members_.size();
+  // Members are fully independent (own derived seed, own start, own
+  // evaluators over the shared read-only context), so they race on the
+  // request's pool; results land in per-member slots and the reduction
+  // below runs on the caller in member order. Progress callbacks are
+  // serialized so downstream sinks (server sessions, CLI tickers) still
+  // observe one event at a time.
+  std::mutex progress_mutex;
+  ProgressCallback serialized;
+  if (request.on_progress) {
+    serialized = [&request, &progress_mutex](const OptimizerProgress& p) {
+      const std::scoped_lock lock(progress_mutex);
+      request.on_progress(p);
+    };
+  }
+  std::vector<std::optional<OptimizerOutcome>> outcomes(count);
+  support::parallel_for_indexed(request.pool, count, [&](std::size_t i) {
+    OptimizerRequest member_request = request;
+    member_request.seed = Rng::mix_seed(request.seed, i);
+    member_request.on_progress = serialized;
+    if (request.max_evaluations > 0) {
+      // Never hand a member share 0: methods read 0 as "use your
+      // configured default budget", which would blow the shared cap.
+      member_request.max_evaluations =
+          std::max<std::size_t>(1, request.max_evaluations / count +
+                                       (i < request.max_evaluations % count
+                                            ? 1
+                                            : 0));
+    }
+    outcomes[i] = run_pipeline(members_[i], member_request);
+  });
+
+  OptimizerOutcome best;
+  std::size_t evaluations = 0;
+  std::size_t iterations = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    OptimizerOutcome& outcome = *outcomes[i];
+    evaluations += outcome.evaluations;
+    iterations += outcome.iterations;
+    // Strict improvement only: ties resolve to the earliest member.
+    if (i == 0 || outcome.fitness < best.fitness) best = std::move(outcome);
+  }
+  best.method = name_;
+  best.evaluations = evaluations;
+  best.iterations = iterations;
+  request.report(best);
+  return best;
 }
 
 }  // namespace iddq::core

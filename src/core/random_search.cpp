@@ -9,13 +9,16 @@
 
 namespace iddq::core {
 
-RandomSearchResult random_search(const part::EvalContext& ctx,
-                                 std::size_t module_count,
-                                 std::size_t samples, std::uint64_t seed,
-                                 support::ExecutorPool* pool) {
+OptimizerOutcome run_random(const OptimizerRequest& request,
+                            std::size_t samples) {
+  if (request.max_evaluations > 0) samples = request.max_evaluations;
   require(samples >= 1, "random search: need at least one sample");
-  Rng rng(seed);
-  RandomSearchResult result;
+  const part::EvalContext& ctx = request.context();
+  const std::size_t module_count = request.resolved_module_count();
+  support::ExecutorPool* pool = request.pool;
+  Rng rng(request.seed);
+  OptimizerOutcome result;
+  result.method = "random";
   bool first = true;
 
   // Coordinator-draws/worker-evaluates (docs/architecture.md, "Threading
@@ -50,15 +53,17 @@ RandomSearchResult random_search(const part::EvalContext& ctx,
     });
     for (std::size_t i = 0; i < n; ++i) {
       ++result.evaluations;
-      if (first || slots[i].fitness < result.best_fitness) {
+      if (first || slots[i].fitness < result.fitness) {
         first = false;
-        result.best_fitness = slots[i].fitness;
-        result.best_partition = std::move(slots[i].partition);
-        result.best_costs = slots[i].costs;
+        result.fitness = slots[i].fitness;
+        result.partition = std::move(slots[i].partition);
+        result.costs = slots[i].costs;
       }
     }
     done += n;
   }
+  result.iterations = result.evaluations;
+  request.report(result);
   return result;
 }
 

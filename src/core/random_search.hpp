@@ -5,28 +5,18 @@
 // RNG draws on the coordinator — byte-identical at any thread count.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 
-#include "partition/evaluator.hpp"
-
-namespace iddq::support {
-class ExecutorPool;
-}
+#include "core/optimizer.hpp"
 
 namespace iddq::core {
 
-struct RandomSearchResult {
-  part::Partition best_partition{1, 1};
-  part::Fitness best_fitness;
-  part::Costs best_costs;
-  std::size_t evaluations = 0;
-};
-
-/// `pool` parallelizes the independent sample evaluations when non-null (a
-/// per-run knob like the seed — results are pool-invariant).
-[[nodiscard]] RandomSearchResult random_search(
-    const part::EvalContext& ctx, std::size_t module_count,
-    std::size_t samples, std::uint64_t seed,
-    support::ExecutorPool* pool = nullptr);
+/// Evaluates `samples` chain-clustered start partitions with
+/// request.resolved_module_count() modules, drawn from Rng(request.seed),
+/// and keeps the best. request.max_evaluations, when set, replaces
+/// `samples`. `iterations` and `evaluations` both count samples. Throws
+/// iddq::Error when there is no sample to draw.
+[[nodiscard]] OptimizerOutcome run_random(const OptimizerRequest& request,
+                                          std::size_t samples);
 
 }  // namespace iddq::core

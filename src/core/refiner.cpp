@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/evolution.hpp"
 #include "core/neighborhood.hpp"
 #include "support/executor.hpp"
 
@@ -49,7 +48,7 @@ RefineResult greedy_refine(part::PartitionEvaluator& eval,
          result.evaluations < max_evaluations;
          ++m) {
       if (eval.partition().module_size(m) <= 1) continue;  // keep K fixed
-      const auto boundary = EvolutionEngine::boundary_gates(eval, m);
+      const auto boundary = boundary_gates(eval, m);
       std::size_t pos = 0;
       bool module_done = false;
       while (pos < boundary.size() && !module_done) {
@@ -122,6 +121,24 @@ RefineResult greedy_refine(part::PartitionEvaluator& eval,
   }
   result.final_fitness = current;
   return result;
+}
+
+OptimizerOutcome run_greedy(const OptimizerRequest& request,
+                            std::size_t max_evaluations) {
+  part::PartitionEvaluator eval(request.context(), request.start_partition());
+  const RefineResult refine = greedy_refine(
+      eval,
+      request.max_evaluations > 0 ? request.max_evaluations : max_evaluations,
+      request.pool);
+  OptimizerOutcome out;
+  out.method = "greedy";
+  out.partition = eval.partition();
+  out.fitness = refine.final_fitness;
+  out.costs = eval.costs();
+  out.iterations = refine.moves_applied;
+  out.evaluations = refine.evaluations;
+  request.report(out);
+  return out;
 }
 
 }  // namespace iddq::core

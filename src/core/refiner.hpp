@@ -23,6 +23,7 @@
 // work, never wrong results).
 #pragma once
 
+#include "core/optimizer.hpp"
 #include "partition/evaluator.hpp"
 
 namespace iddq::support {
@@ -42,5 +43,11 @@ struct RefineResult {
 RefineResult greedy_refine(part::PartitionEvaluator& eval,
                            std::size_t max_evaluations = 100000,
                            support::ExecutorPool* pool = nullptr);
+
+/// The refiner as a search method: refines request.start_partition() on
+/// request.pool. request.max_evaluations, when set, replaces
+/// `max_evaluations`. `iterations` counts the moves applied.
+[[nodiscard]] OptimizerOutcome run_greedy(const OptimizerRequest& request,
+                                          std::size_t max_evaluations);
 
 }  // namespace iddq::core

@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "core/coverage_options.hpp"
-#include "core/optimizer.hpp"
+#include "core/optimizer_registry.hpp"
 #include "partition/cost_model.hpp"
 
 namespace iddq::core {
@@ -215,7 +215,7 @@ void replace_file(const std::string& from, const std::string& to,
 
 /// Fingerprint of everything that is constant per FlowEngine: circuit and
 /// library content, sensor spec, cost weights, rho, the optimizer tuning
-/// knobs (per-request seed/record_trace fields excluded), and the
+/// knobs (OptimizerConfig: per-run inputs live in the request), and the
 /// coverage options. Pass `coverage.fault_model` in canonical spelling
 /// (sim::FaultModelSpec::parse().canonical()) so equivalent specs share
 /// entries; a default-constructed CoverageOptions reproduces the

@@ -195,4 +195,32 @@ part::Partition standard_partition(const netlist::Netlist& nl,
   return partition;
 }
 
+OptimizerOutcome run_standard(const OptimizerRequest& request) {
+  const part::EvalContext& ctx = request.context();
+  std::vector<std::size_t> sizes;
+  if (request.start) {
+    sizes.reserve(request.start->module_count());
+    for (std::uint32_t m = 0; m < request.start->module_count(); ++m)
+      sizes.push_back(request.start->module_size(m));
+  } else {
+    const std::size_t k = request.resolved_module_count();
+    const std::size_t n = ctx.nl.logic_gate_count();
+    require(k >= 1 && k <= n,
+            "standard partitioning: module count out of range");
+    sizes.assign(k, n / k);
+    for (std::size_t i = 0; i < n % k; ++i) ++sizes[i];
+  }
+  part::PartitionEvaluator eval(
+      ctx, standard_partition(ctx.nl, ctx.oracle, sizes));
+  OptimizerOutcome out;
+  out.method = "standard";
+  out.fitness = eval.fitness();
+  out.costs = eval.costs();
+  out.partition = eval.partition();
+  out.iterations = 1;
+  out.evaluations = 1;
+  request.report(out);
+  return out;
+}
+
 }  // namespace iddq::core

@@ -18,6 +18,7 @@
 
 #include <span>
 
+#include "core/optimizer.hpp"
 #include "netlist/distance_oracle.hpp"
 #include "netlist/netlist.hpp"
 #include "partition/partition.hpp"
@@ -28,5 +29,11 @@ namespace iddq::core {
 [[nodiscard]] part::Partition standard_partition(
     const netlist::Netlist& nl, const netlist::DistanceOracle& oracle,
     std::span<const std::size_t> module_sizes);
+
+/// The baseline as a search method: one evaluation of the standard
+/// partition at request.start's module sizes (the sizes another method
+/// discovered), or at an even split into request.resolved_module_count()
+/// modules when there is no start. Seed-independent.
+[[nodiscard]] OptimizerOutcome run_standard(const OptimizerRequest& request);
 
 }  // namespace iddq::core

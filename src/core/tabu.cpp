@@ -10,24 +10,29 @@
 
 namespace iddq::core {
 
-TabuResult tabu_search(const part::EvalContext& ctx,
-                       const part::Partition& start,
-                       const TabuParams& params) {
-  require(params.iterations >= 1, "tabu: need at least one iteration");
+OptimizerOutcome run_tabu(const OptimizerRequest& request,
+                          const TabuParams& params) {
   require(params.candidates >= 1, "tabu: need at least one candidate");
-  Rng rng(params.seed);
-  part::PartitionEvaluator eval(ctx, start);
+  const std::size_t rounds =
+      request.max_evaluations > 0
+          ? std::max<std::size_t>(1,
+                                  request.max_evaluations / params.candidates)
+          : params.iterations;
+  require(rounds >= 1, "tabu: need at least one iteration");
+  part::PartitionEvaluator eval(request.context(), request.start_partition());
+  Rng rng(request.seed);
 
-  TabuResult result;
+  OptimizerOutcome result;
+  result.method = "tabu";
   double current = penalized_objective(eval, params.violation_penalty);
   ++result.evaluations;
   double best_obj = current;
-  result.best_partition = eval.partition();
-  result.best_fitness = eval.fitness();
-  result.best_costs = eval.costs();
+  result.partition = eval.partition();
+  result.fitness = eval.fitness();
+  result.costs = eval.costs();
 
   // tabu_until[g]: first round in which gate g may move again.
-  std::vector<std::size_t> tabu_until(ctx.nl.gate_count(), 0);
+  std::vector<std::size_t> tabu_until(request.context().nl.gate_count(), 0);
 
   struct Candidate {
     GateMove move;
@@ -35,10 +40,10 @@ TabuResult tabu_search(const part::EvalContext& ctx,
   };
 
   std::size_t stall = 0;
-  for (std::size_t round = 1; round <= params.iterations; ++round) {
-    if (params.on_round && params.progress_every > 0 && round > 1 &&
-        (round - 1) % params.progress_every == 0)
-      params.on_round(round - 1, result.evaluations, result.best_fitness);
+  for (std::size_t round = 1; round <= rounds; ++round) {
+    if (round > 1 && (round - 1) % kTabuProgressEvery == 0)
+      request.report(result.method, round - 1, result.evaluations,
+                     result.fitness);
     // Coordinator phase: sample the candidate neighbourhood (moves
     // deduplicated: one (gate, target) pair appears at most once per
     // round). All RNG draws happen here, in the fixed serial order.
@@ -69,16 +74,16 @@ TabuResult tabu_search(const part::EvalContext& ctx,
     // byte-identical at any thread count.
     eval.refresh();  // probes fan out from a clean round-start state
     const std::size_t slots =
-        params.pool == nullptr || params.pool->worker_count() == 0
+        request.pool == nullptr || request.pool->worker_count() == 0
             ? 1
-            : std::min(candidates.size(), params.pool->concurrency());
+            : std::min(candidates.size(), request.pool->concurrency());
     if (slots <= 1) {
       for (Candidate& cd : candidates)
         cd.objective =
             probe_objective(eval, cd.move, params.violation_penalty);
     } else {
       const std::size_t per = (candidates.size() + slots - 1) / slots;
-      support::parallel_for_indexed(params.pool, slots, [&](std::size_t s) {
+      support::parallel_for_indexed(request.pool, slots, [&](std::size_t s) {
         part::PartitionEvaluator probe = eval;
         const std::size_t end = std::min((s + 1) * per, candidates.size());
         for (std::size_t c = s * per; c < end; ++c)
@@ -116,14 +121,15 @@ TabuResult tabu_search(const part::EvalContext& ctx,
     current = chosen->objective;
     if (current < best_obj) {
       best_obj = current;
-      result.best_partition = eval.partition();
-      result.best_fitness = eval.fitness();
-      result.best_costs = eval.costs();
+      result.partition = eval.partition();
+      result.fitness = eval.fitness();
+      result.costs = eval.costs();
       stall = 0;
     } else if (++stall > params.stall_iterations) {
       break;
     }
   }
+  request.report(result);
   return result;
 }
 

@@ -16,48 +16,35 @@
 
 #include <cstdint>
 
-#include "core/step_callback.hpp"
-#include "partition/evaluator.hpp"
-
-namespace iddq::support {
-class ExecutorPool;
-}
+#include "core/optimizer.hpp"
 
 namespace iddq::core {
 
+/// Tuning knobs of the tabu search (the per-run inputs come from the
+/// OptimizerRequest).
 struct TabuParams {
   std::size_t iterations = 400;        // move rounds (best-of-candidates)
   std::size_t candidates = 8;          // sampled neighbourhood per round
   std::size_t tenure = 12;             // rounds a moved gate stays tabu
   std::size_t stall_iterations = 120;  // stop after this many without gain
   double violation_penalty = 1.0e4;
-  std::uint64_t seed = 1;
-  /// Per-run progress fields (like seed, not hashed into cache keys):
-  /// on_round fires every `progress_every` rounds when set (0 disables).
-  std::size_t progress_every = 25;
-  StepCallback on_round;
-  /// Evaluates each round's candidate set in parallel when set (nullptr =
-  /// serial). The candidate moves are sampled on the coordinator (all RNG
-  /// draws, fixed order); each candidate is then scored against the
-  /// round-start state with the copy-free probe_move — serially on the
-  /// shared evaluator, or on one private copy per concurrency slot when a
-  /// pool is set. Probe scores are bit-identical to the historical
-  /// copy + move recipe, so the whole search is byte-identical at any
-  /// thread count. Per-run field like seed, excluded from the cache
-  /// fingerprint.
-  support::ExecutorPool* pool = nullptr;
 };
 
-struct TabuResult {
-  part::Partition best_partition{1, 1};
-  part::Fitness best_fitness;
-  part::Costs best_costs;
-  std::size_t iterations = 0;   // rounds actually executed
-  std::size_t evaluations = 0;  // cost-function evaluations spent
-};
+/// Rounds between two live progress reports of the tabu search.
+inline constexpr std::size_t kTabuProgressEvery = 25;
 
-[[nodiscard]] TabuResult tabu_search(const part::EvalContext& ctx,
-                                     const part::Partition& start,
-                                     const TabuParams& params);
+/// Searches from request.start_partition() with its own Rng(request.seed).
+/// request.max_evaluations, when set, maps to rounds: every round spends
+/// up to `candidates` evaluations, so the search runs
+/// max(1, max_evaluations / candidates) rounds. With request.pool each
+/// round's candidate set is scored in parallel: the moves are sampled on
+/// the coordinator (all RNG draws, fixed order), then scored against the
+/// round-start state with the copy-free probe_move on one private
+/// evaluator copy per concurrency slot, so the search is byte-identical
+/// at any thread count. Reports every kTabuProgressEvery rounds, then once
+/// on completion. `iterations` counts rounds. Throws iddq::Error on
+/// invalid parameters.
+[[nodiscard]] OptimizerOutcome run_tabu(const OptimizerRequest& request,
+                                        const TabuParams& params);
 
 }  // namespace iddq::core

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/neighborhood.hpp"
 #include "core/start_partition.hpp"
 #include "netlist/gen/c17.hpp"
 #include "netlist/gen/iscas_profiles.hpp"
@@ -25,8 +26,15 @@ struct Fixture {
     p.chi = 1;
     p.max_generations = 30;
     p.stall_generations = 30;
-    p.seed = 3;
     return p;
+  }
+
+  OptimizerRequest request(std::size_t module_count = 3) const {
+    OptimizerRequest r;
+    r.ctx = &ctx;
+    r.module_count = module_count;
+    r.seed = 3;
+    return r;
   }
 };
 
@@ -43,66 +51,62 @@ TEST(Evolution, BoundaryGatesAreExactlyTheCut) {
   // Module 0: 10 -(22)- internal; 16 fed by 11 (module 1) -> boundary;
   // 22 fed by 16? both module 0... 22's fanins 10,16 internal, no external
   // fanout. 10: fanin inputs only, fanout 22 internal -> interior.
-  const auto boundary0 = EvolutionEngine::boundary_gates(eval, 0);
+  const auto boundary0 = boundary_gates(eval, 0);
   ASSERT_EQ(boundary0.size(), 1u);
   EXPECT_EQ(boundary0[0], nl.at("16"));
   // Module 1: 11 feeds 16 (module 0) -> boundary; 19 fed by 11 internal,
   // feeds 23 internal -> interior; 23 fed by 16 (module 0) -> boundary.
-  const auto boundary1 = EvolutionEngine::boundary_gates(eval, 1);
+  const auto boundary1 = boundary_gates(eval, 1);
   EXPECT_EQ(boundary1.size(), 2u);
 }
 
 TEST(Evolution, ImprovesOverStartPartitions) {
   Fixture f;
   Rng rng(1);
-  std::vector<part::Partition> starts;
-  for (int i = 0; i < 4; ++i)
-    starts.push_back(make_start_partition(f.nl, 3, rng));
-  part::PartitionEvaluator start_eval(f.ctx, starts[0]);
+  auto request = f.request();
+  request.start = make_start_partition(f.nl, 3, rng);
+  part::PartitionEvaluator start_eval(f.ctx, *request.start);
   const double start_cost = start_eval.fitness().cost;
 
-  EvolutionEngine engine(f.ctx, f.quick_params());
-  const auto result = engine.run(starts);
-  EXPECT_TRUE(result.best_fitness.feasible());
-  EXPECT_LT(result.best_fitness.cost, start_cost);
+  const auto result = run_evolution(request, f.quick_params());
+  EXPECT_TRUE(result.fitness.feasible());
+  EXPECT_LT(result.fitness.cost, start_cost);
   EXPECT_GT(result.evaluations, 4u);
 }
 
 TEST(Evolution, DeterministicForSeed) {
   Fixture f;
-  EvolutionEngine a(f.ctx, f.quick_params());
-  EvolutionEngine b(f.ctx, f.quick_params());
-  const auto ra = a.run_with_module_count(3);
-  const auto rb = b.run_with_module_count(3);
-  EXPECT_EQ(ra.best_fitness.cost, rb.best_fitness.cost);
-  EXPECT_EQ(ra.best_partition, rb.best_partition);
+  const auto ra = run_evolution(f.request(), f.quick_params());
+  const auto rb = run_evolution(f.request(), f.quick_params());
+  EXPECT_EQ(ra.fitness.cost, rb.fitness.cost);
+  EXPECT_EQ(ra.partition, rb.partition);
   EXPECT_EQ(ra.evaluations, rb.evaluations);
 }
 
 TEST(Evolution, OnGenerationTicksLiveWithoutChangingTheRun) {
   Fixture f;
-  EvolutionEngine plain(f.ctx, f.quick_params());
-  const auto expected = plain.run_with_module_count(3);
+  const auto expected = run_evolution(f.request(), f.quick_params());
 
-  auto params = f.quick_params();
+  auto request = f.request();
   std::size_t ticks = 0;
   std::size_t last_generation = 0;
   std::size_t last_evaluations = 0;
-  params.on_generation = [&](const GenerationStats& g) {
+  request.on_progress = [&](const OptimizerProgress& g) {
     ++ticks;
-    EXPECT_EQ(g.generation, last_generation + 1);  // every generation, in order
-    EXPECT_GT(g.evaluations, last_evaluations);    // cumulative counter
-    last_generation = g.generation;
+    if (g.iteration == last_generation) return;  // the final report
+    EXPECT_EQ(g.iteration, last_generation + 1);  // every generation, in order
+    EXPECT_GT(g.evaluations, last_evaluations);   // cumulative counter
+    last_generation = g.iteration;
     last_evaluations = g.evaluations;
   };
-  EvolutionEngine observed(f.ctx, params);
-  const auto result = observed.run_with_module_count(3);
+  const auto result = run_evolution(request, f.quick_params());
 
-  // The observer reported every generation and never perturbed the search.
-  EXPECT_EQ(ticks, result.generations);
+  // The observer saw every generation plus the final report and never
+  // perturbed the search.
+  EXPECT_EQ(ticks, result.iterations + 1);
   EXPECT_EQ(last_evaluations, result.evaluations);
-  EXPECT_EQ(result.best_partition, expected.best_partition);
-  EXPECT_EQ(result.best_fitness.cost, expected.best_fitness.cost);
+  EXPECT_EQ(result.partition, expected.partition);
+  EXPECT_EQ(result.fitness.cost, expected.fitness.cost);
   EXPECT_EQ(result.evaluations, expected.evaluations);
   // The callback alone does not record a trace.
   EXPECT_TRUE(result.trace.empty());
@@ -110,26 +114,23 @@ TEST(Evolution, OnGenerationTicksLiveWithoutChangingTheRun) {
 
 TEST(Evolution, BestPartitionCoversCircuit) {
   Fixture f;
-  EvolutionEngine engine(f.ctx, f.quick_params());
-  const auto result = engine.run_with_module_count(3);
-  EXPECT_TRUE(result.best_partition.covers(f.nl));
+  const auto result = run_evolution(f.request(), f.quick_params());
+  EXPECT_TRUE(result.partition.covers(f.nl));
 }
 
 TEST(Evolution, ResultCostsMatchReEvaluation) {
   Fixture f;
-  EvolutionEngine engine(f.ctx, f.quick_params());
-  const auto result = engine.run_with_module_count(3);
-  part::PartitionEvaluator check(f.ctx, result.best_partition);
-  EXPECT_NEAR(check.fitness().cost, result.best_fitness.cost,
-              1e-9 * result.best_fitness.cost);
+  const auto result = run_evolution(f.request(), f.quick_params());
+  part::PartitionEvaluator check(f.ctx, result.partition);
+  EXPECT_NEAR(check.fitness().cost, result.fitness.cost,
+              1e-9 * result.fitness.cost);
 }
 
 TEST(Evolution, TraceIsMonotoneNonIncreasing) {
   Fixture f;
-  auto params = f.quick_params();
-  params.record_trace = true;
-  EvolutionEngine engine(f.ctx, params);
-  const auto result = engine.run_with_module_count(3);
+  auto request = f.request();
+  request.record_trace = true;
+  const auto result = run_evolution(request, f.quick_params());
   ASSERT_FALSE(result.trace.empty());
   for (std::size_t i = 1; i < result.trace.size(); ++i)
     EXPECT_LE(result.trace[i].best.cost, result.trace[i - 1].best.cost);
@@ -140,9 +141,8 @@ TEST(Evolution, StallStopsEarly) {
   auto params = f.quick_params();
   params.max_generations = 1000;
   params.stall_generations = 5;
-  EvolutionEngine engine(f.ctx, params);
-  const auto result = engine.run_with_module_count(3);
-  EXPECT_LT(result.generations, 1000u);
+  const auto result = run_evolution(f.request(), params);
+  EXPECT_LT(result.iterations, 1000u);
 }
 
 TEST(Evolution, MonteCarloChildrenCanReduceModuleCount) {
@@ -151,10 +151,9 @@ TEST(Evolution, MonteCarloChildrenCanReduceModuleCount) {
   Fixture f;
   auto params = f.quick_params();
   params.max_generations = 60;
-  EvolutionEngine engine(f.ctx, params);
-  const auto result = engine.run_with_module_count(6);
-  EXPECT_LE(result.best_partition.module_count(), 6u);
-  EXPECT_GE(result.best_partition.module_count(), 1u);
+  const auto result = run_evolution(f.request(6), params);
+  EXPECT_LE(result.partition.module_count(), 6u);
+  EXPECT_GE(result.partition.module_count(), 1u);
 }
 
 TEST(Evolution, InfeasibleStartRecovers) {
@@ -176,33 +175,34 @@ TEST(Evolution, InfeasibleStartRecovers) {
   params.chi = 1;
   params.max_generations = 25;
   params.stall_generations = 25;
-  params.seed = 5;
-  EvolutionEngine engine(ctx, params);
-  const std::vector<part::Partition> starts = {
-      part::Partition::from_groups(nl, groups)};
-  const auto result = engine.run(starts);
-  EXPECT_TRUE(result.best_fitness.feasible());
+  OptimizerRequest request;
+  request.ctx = &ctx;
+  request.start = part::Partition::from_groups(nl, groups);
+  request.seed = 5;
+  const auto result = run_evolution(request, params);
+  EXPECT_TRUE(result.fitness.feasible());
 }
 
 TEST(Evolution, ParameterValidation) {
   Fixture f;
   EsParams params = f.quick_params();
   params.mu = 0;
-  EXPECT_THROW((EvolutionEngine(f.ctx, params)), Error);
+  EXPECT_THROW((void)run_evolution(f.request(), params), Error);
   params = f.quick_params();
   params.lambda = 0;
   params.chi = 0;
-  EXPECT_THROW((EvolutionEngine(f.ctx, params)), Error);
+  EXPECT_THROW((void)run_evolution(f.request(), params), Error);
   params = f.quick_params();
   params.m0 = 100;
   params.m_max = 50;
-  EXPECT_THROW((EvolutionEngine(f.ctx, params)), Error);
+  EXPECT_THROW((void)run_evolution(f.request(), params), Error);
 }
 
-TEST(Evolution, RunRequiresStartPartitions) {
+TEST(Evolution, RunRequiresAContext) {
   Fixture f;
-  EvolutionEngine engine(f.ctx, f.quick_params());
-  EXPECT_THROW((void)engine.run({}), Error);
+  auto request = f.request();
+  request.ctx = nullptr;
+  EXPECT_THROW((void)run_evolution(request, f.quick_params()), Error);
 }
 
 }  // namespace

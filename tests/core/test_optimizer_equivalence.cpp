@@ -1,17 +1,13 @@
-// Adapter-vs-direct equivalence: at the same seed and budget, every
-// registry adapter must reproduce the exact result (partition, fitness,
-// evaluation count) of the pre-refactor direct entry point it wraps.
+// Equivalences the method table promises: a request budget replaces a
+// method's configured one, a '+' pipeline equals manual chaining and shares
+// the budget, and FlowEngine rows equal a direct entry-point call. The
+// per-method trajectories themselves are pinned by test_method_golden.cpp.
 #include <gtest/gtest.h>
-
-#include <vector>
 
 #include "core/annealing.hpp"
 #include "core/evolution.hpp"
 #include "core/flow_engine.hpp"
 #include "core/optimizer_registry.hpp"
-#include "core/random_search.hpp"
-#include "core/refiner.hpp"
-#include "core/standard_partition.hpp"
 #include "core/start_partition.hpp"
 #include "netlist/gen/random_dag.hpp"
 #include "support/rng.hpp"
@@ -42,114 +38,23 @@ struct Fixture {
   }
 };
 
-void expect_same(const OptimizerOutcome& adapter, const part::Partition& p,
-                 const part::Fitness& f, std::size_t evaluations) {
-  EXPECT_EQ(adapter.partition, p);
-  EXPECT_EQ(adapter.fitness.violation, f.violation);
-  EXPECT_EQ(adapter.fitness.cost, f.cost);
-  EXPECT_EQ(adapter.evaluations, evaluations);
-}
-
-TEST(OptimizerEquivalence, Evolution) {
-  Fixture f;
-  EsParams params;
-  params.mu = 4;
-  params.lambda = 4;
-  params.chi = 1;
-  params.max_generations = 25;
-  params.stall_generations = 10;
-  params.seed = Fixture::kSeed;
-  EvolutionEngine engine(f.ctx, params);
-  const EsResult direct = engine.run_with_module_count(Fixture::kModules);
-
-  OptimizerConfig cfg;
-  cfg.es = params;
-  cfg.es.seed = 999;  // adapter must take the seed from the request
-  const auto adapter =
-      OptimizerRegistry::global().make("evolution", cfg)->run(f.request());
-  expect_same(adapter, direct.best_partition, direct.best_fitness,
-              direct.evaluations);
-  EXPECT_EQ(adapter.iterations, direct.generations);
-}
-
-TEST(OptimizerEquivalence, Annealing) {
-  Fixture f;
-  SaParams params;
-  params.steps = 1500;
-  params.seed = Fixture::kSeed;
-  const SaResult direct = simulated_annealing(f.ctx, f.start(), params);
-
-  OptimizerConfig cfg;
-  cfg.sa = params;
-  cfg.sa.seed = 999;
-  auto req = f.request();
-  req.start = f.start();
-  const auto adapter =
-      OptimizerRegistry::global().make("annealing", cfg)->run(req);
-  expect_same(adapter, direct.best_partition, direct.best_fitness,
-              direct.evaluations);
-}
-
 TEST(OptimizerEquivalence, AnnealingBudgetOverridesSteps) {
   Fixture f;
+  auto req = f.request();
+  req.start = f.start();
   SaParams params;
   params.steps = 600;
-  params.seed = Fixture::kSeed;
-  const SaResult direct = simulated_annealing(f.ctx, f.start(), params);
+  const auto configured = run_annealing(req, params);
 
   OptimizerConfig cfg;
-  cfg.sa = params;
   cfg.sa.steps = 123456;  // must be overridden by the request budget
-  auto req = f.request();
-  req.start = f.start();
   req.max_evaluations = 600;
-  const auto adapter =
+  const auto budgeted =
       OptimizerRegistry::global().make("annealing", cfg)->run(req);
-  expect_same(adapter, direct.best_partition, direct.best_fitness,
-              direct.evaluations);
-}
-
-TEST(OptimizerEquivalence, RandomSearch) {
-  Fixture f;
-  const RandomSearchResult direct =
-      random_search(f.ctx, Fixture::kModules, 300, Fixture::kSeed);
-
-  OptimizerConfig cfg;
-  cfg.random_samples = 300;
-  const auto adapter =
-      OptimizerRegistry::global().make("random", cfg)->run(f.request());
-  expect_same(adapter, direct.best_partition, direct.best_fitness,
-              direct.evaluations);
-}
-
-TEST(OptimizerEquivalence, Greedy) {
-  Fixture f;
-  part::PartitionEvaluator eval(f.ctx, f.start());
-  const RefineResult direct = greedy_refine(eval, 5000);
-
-  auto req = f.request();
-  req.start = f.start();
-  req.max_evaluations = 5000;
-  const auto adapter = OptimizerRegistry::global().make("greedy")->run(req);
-  expect_same(adapter, eval.partition(), direct.final_fitness,
-              direct.evaluations);
-  EXPECT_EQ(adapter.iterations, direct.moves_applied);
-}
-
-TEST(OptimizerEquivalence, Standard) {
-  Fixture f;
-  const auto start = f.start();
-  std::vector<std::size_t> sizes;
-  for (std::uint32_t m = 0; m < start.module_count(); ++m)
-    sizes.push_back(start.module_size(m));
-  const auto direct = standard_partition(f.nl, f.ctx.oracle, sizes);
-
-  auto req = f.request();
-  req.start = start;
-  const auto adapter = OptimizerRegistry::global().make("standard")->run(req);
-  EXPECT_EQ(adapter.partition, direct);
-  part::PartitionEvaluator eval(f.ctx, direct);
-  EXPECT_EQ(adapter.fitness.cost, eval.fitness().cost);
+  EXPECT_EQ(budgeted.partition, configured.partition);
+  EXPECT_EQ(budgeted.fitness.violation, configured.fitness.violation);
+  EXPECT_EQ(budgeted.fitness.cost, configured.fitness.cost);
+  EXPECT_EQ(budgeted.evaluations, configured.evaluations);
 }
 
 TEST(OptimizerEquivalence, ComposedPipelineMatchesManualChaining) {
@@ -201,8 +106,8 @@ TEST(OptimizerEquivalence, ComposedPipelineKeepsBestStageResult) {
   EXPECT_FALSE(greedy.fitness < composed.fitness);
 }
 
-// The engine's seed-s evolution run (the Table-1 row) must keep producing
-// the direct ES result.
+// The engine's seed-s evolution run (the Table-1 row) must equal a direct
+// run_evolution call at the planned module count.
 TEST(OptimizerEquivalence, RunFlowMatchesDirectEvolution) {
   Fixture f;
   FlowEngineConfig config;
@@ -218,14 +123,15 @@ TEST(OptimizerEquivalence, RunFlowMatchesDirectEvolution) {
 
   part::EvalContext ctx(f.nl, f.library, config.sensor, config.weights,
                         config.rho);
-  EsParams params = config.optimizers.es;
-  params.seed = Fixture::kSeed;
-  EvolutionEngine engine(ctx, params);
-  const auto direct = engine.run_with_module_count(flow.plan().module_count);
-  EXPECT_EQ(evolution.partition, direct.best_partition);
-  EXPECT_EQ(evolution.fitness.cost, direct.best_fitness.cost);
+  OptimizerRequest request;
+  request.ctx = &ctx;
+  request.module_count = flow.plan().module_count;
+  request.seed = Fixture::kSeed;
+  const auto direct = run_evolution(request, config.optimizers.es);
+  EXPECT_EQ(evolution.partition, direct.partition);
+  EXPECT_EQ(evolution.fitness.cost, direct.fitness.cost);
   EXPECT_EQ(evolution.evaluations, direct.evaluations);
-  EXPECT_EQ(evolution.iterations, direct.generations);
+  EXPECT_EQ(evolution.iterations, direct.iterations);
 }
 
 }  // namespace

@@ -69,25 +69,20 @@ TEST(ParallelInvariance, EvolutionIsByteIdenticalAtAnyThreadCount) {
   params.chi = 2;
   params.max_generations = 12;
   params.stall_generations = 6;
-  params.seed = 42;
+  OptimizerRequest request;
+  request.ctx = &f.ctx;
+  request.module_count = 4;
+  request.seed = 42;
 
-  EvolutionEngine serial_engine(f.ctx, params);  // pool == nullptr
-  const EsResult serial = serial_engine.run_with_module_count(4);
+  const auto serial = run_evolution(request, params);  // pool == nullptr
   EXPECT_GT(serial.evaluations, params.mu);
 
   for (const std::size_t threads : kPoolSizes) {
     SCOPED_TRACE(threads);
     support::ExecutorPool pool(threads);
-    EsParams p = params;
-    p.pool = &pool;
-    EvolutionEngine engine(f.ctx, p);
-    const EsResult got = engine.run_with_module_count(4);
-    EXPECT_EQ(got.best_partition, serial.best_partition);
-    expect_bits_eq(got.best_fitness.cost, serial.best_fitness.cost, "cost");
-    expect_bits_eq(got.best_fitness.violation, serial.best_fitness.violation,
-                   "violation");
-    EXPECT_EQ(got.generations, serial.generations);
-    EXPECT_EQ(got.evaluations, serial.evaluations);
+    OptimizerRequest r = request;
+    r.pool = &pool;
+    expect_outcomes_identical(run_evolution(r, params), serial);
   }
 }
 
@@ -96,19 +91,18 @@ TEST(ParallelInvariance, TabuIsByteIdenticalAtAnyThreadCount) {
   TabuParams params;
   params.iterations = 60;
   params.candidates = 10;
-  params.seed = 11;
+  OptimizerRequest request;
+  request.ctx = &f.ctx;
+  request.start = f.start();
+  request.seed = 11;
 
-  const TabuResult serial = tabu_search(f.ctx, f.start(), params);
+  const auto serial = run_tabu(request, params);
   for (const std::size_t threads : kPoolSizes) {
     SCOPED_TRACE(threads);
     support::ExecutorPool pool(threads);
-    TabuParams p = params;
-    p.pool = &pool;
-    const TabuResult got = tabu_search(f.ctx, f.start(), p);
-    EXPECT_EQ(got.best_partition, serial.best_partition);
-    expect_bits_eq(got.best_fitness.cost, serial.best_fitness.cost, "cost");
-    EXPECT_EQ(got.iterations, serial.iterations);
-    EXPECT_EQ(got.evaluations, serial.evaluations);
+    OptimizerRequest r = request;
+    r.pool = &pool;
+    expect_outcomes_identical(run_tabu(r, params), serial);
   }
 }
 
@@ -117,21 +111,18 @@ TEST(ParallelInvariance, RandomSearchIsByteIdenticalAtAnyThreadCount) {
   // the serial RNG order, workers only evaluate, the best-of reduction
   // runs in sample order.
   Fixture f;
-  const RandomSearchResult serial = random_search(f.ctx, 4, 45, 11);
+  OptimizerRequest request;
+  request.ctx = &f.ctx;
+  request.module_count = 4;
+  request.seed = 11;
+  const auto serial = run_random(request, 45);
   EXPECT_EQ(serial.evaluations, 45u);
   for (const std::size_t threads : kPoolSizes) {
     SCOPED_TRACE(threads);
     support::ExecutorPool pool(threads);
-    const RandomSearchResult got = random_search(f.ctx, 4, 45, 11, &pool);
-    EXPECT_EQ(got.best_partition, serial.best_partition);
-    expect_bits_eq(got.best_fitness.cost, serial.best_fitness.cost, "cost");
-    expect_bits_eq(got.best_fitness.violation, serial.best_fitness.violation,
-                   "violation");
-    const auto gc = got.best_costs.as_array();
-    const auto wc = serial.best_costs.as_array();
-    for (std::size_t i = 0; i < wc.size(); ++i)
-      expect_bits_eq(gc[i], wc[i], "costs[i]");
-    EXPECT_EQ(got.evaluations, serial.evaluations);
+    OptimizerRequest r = request;
+    r.pool = &pool;
+    expect_outcomes_identical(run_random(r, 45), serial);
   }
 }
 

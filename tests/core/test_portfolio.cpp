@@ -1,5 +1,3 @@
-#include "core/portfolio.hpp"
-
 #include <gtest/gtest.h>
 
 #include <string>

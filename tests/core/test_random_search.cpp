@@ -16,41 +16,56 @@ struct Fixture {
   lib::CellLibrary library = lib::default_library();
   part::EvalContext ctx{nl, library, elec::SensorSpec{},
                         part::CostWeights{}};
+
+  OptimizerRequest request(std::uint64_t seed) const {
+    OptimizerRequest r;
+    r.ctx = &ctx;
+    r.module_count = 3;
+    r.seed = seed;
+    return r;
+  }
 };
 
 TEST(RandomSearch, BestOfManyBeatsFirst) {
   Fixture f;
   Rng rng(1);
   part::PartitionEvaluator first(f.ctx, make_start_partition(f.nl, 3, rng));
-  const auto result = random_search(f.ctx, 3, 40, 1);
+  const auto result = run_random(f.request(1), 40);
   EXPECT_EQ(result.evaluations, 40u);
-  EXPECT_LE(result.best_fitness.cost, first.fitness().cost);
+  EXPECT_LE(result.fitness.cost, first.fitness().cost);
 }
 
 TEST(RandomSearch, SingleSampleIsValid) {
   Fixture f;
-  const auto result = random_search(f.ctx, 3, 1, 2);
+  const auto result = run_random(f.request(2), 1);
   EXPECT_EQ(result.evaluations, 1u);
-  EXPECT_TRUE(result.best_partition.covers(f.nl));
+  EXPECT_TRUE(result.partition.covers(f.nl));
 }
 
 TEST(RandomSearch, Deterministic) {
   Fixture f;
-  const auto a = random_search(f.ctx, 3, 10, 7);
-  const auto b = random_search(f.ctx, 3, 10, 7);
-  EXPECT_EQ(a.best_fitness.cost, b.best_fitness.cost);
+  const auto a = run_random(f.request(7), 10);
+  const auto b = run_random(f.request(7), 10);
+  EXPECT_EQ(a.fitness.cost, b.fitness.cost);
 }
 
 TEST(RandomSearch, MoreSamplesNeverWorse) {
   Fixture f;
-  const auto few = random_search(f.ctx, 3, 5, 9);
-  const auto many = random_search(f.ctx, 3, 50, 9);
-  EXPECT_LE(many.best_fitness.cost, few.best_fitness.cost);
+  const auto few = run_random(f.request(9), 5);
+  const auto many = run_random(f.request(9), 50);
+  EXPECT_LE(many.fitness.cost, few.fitness.cost);
+}
+
+TEST(RandomSearch, BudgetReplacesSamples) {
+  Fixture f;
+  auto request = f.request(9);
+  request.max_evaluations = 12;
+  EXPECT_EQ(run_random(request, 2000).evaluations, 12u);
 }
 
 TEST(RandomSearch, RejectsZeroSamples) {
   Fixture f;
-  EXPECT_THROW((void)random_search(f.ctx, 3, 0, 1), Error);
+  EXPECT_THROW((void)run_random(f.request(1), 0), Error);
 }
 
 }  // namespace

@@ -528,11 +528,10 @@ TEST(CacheKey, ContextFingerprintCoversConfig) {
   EXPECT_NE(base,
             cache_context_fingerprint(1, 2, sensor, weights, 4, optimizers2));
 
-  // The per-request seed is keyed by cache_key, not the context.
-  OptimizerConfig optimizers3 = optimizers;
-  optimizers3.es.seed = 999;
-  EXPECT_EQ(base,
-            cache_context_fingerprint(1, 2, sensor, weights, 4, optimizers3));
+  // The per-run seed is keyed by cache_key, not the context (the tuning
+  // config has no seed field to hash).
+  EXPECT_NE(cache_key(base, "evolution", 1, 0, nullptr),
+            cache_key(base, "evolution", 999, 0, nullptr));
 }
 
 struct EngineFixture {
