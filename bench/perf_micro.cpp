@@ -33,6 +33,8 @@
 #include "sim/logic_sim.hpp"
 #include "sim/patterns.hpp"
 #include "support/executor.hpp"
+#include "tests/reference/current_profile.hpp"
+#include "tests/reference/delay_model.hpp"
 
 namespace {
 
@@ -426,8 +428,9 @@ ProfileFixture& profile_at(std::size_t idx) {
 // One overlay probe ("what would the module maxima be with gate g added")
 // — the inner question of every tabu candidate and ES descendant. The
 // tree path touches O(|T(g)| log grid) nodes; the scan path is the old
-// O(grid) full pass kept as `scan_max_with_gate_added`. Down the ladder
-// the tree time should stay flat while the scan time tracks the grid.
+// O(grid) full pass, kept as `reference::scan_max_with_gate_added`. Down
+// the ladder the tree time should stay flat while the scan time tracks the
+// grid.
 void BM_ProfileOverlayProbe(benchmark::State& state) {
   auto& f = profile_at(static_cast<std::size_t>(state.range(0)));
   const bool tree = state.range(1) != 0;
@@ -439,8 +442,8 @@ void BM_ProfileOverlayProbe(benchmark::State& state) {
       benchmark::DoNotOptimize(
           f.profile.max_with_gate_added(f.tt.at(g), f.cells[g].ipeak_ua));
     } else {
-      benchmark::DoNotOptimize(f.profile.scan_max_with_gate_added(
-          f.tt.at(g), f.cells[g].ipeak_ua));
+      benchmark::DoNotOptimize(reference::scan_max_with_gate_added(
+          f.profile, f.tt.at(g), f.cells[g].ipeak_ua));
     }
   }
 }
@@ -467,8 +470,8 @@ void BM_ProfileCommitAndMax(benchmark::State& state) {
       benchmark::DoNotOptimize(f.profile.max_current_ua());
       benchmark::DoNotOptimize(f.profile.max_switching());
     } else {
-      benchmark::DoNotOptimize(f.profile.scan_max_current_ua());
-      benchmark::DoNotOptimize(f.profile.scan_max_switching());
+      benchmark::DoNotOptimize(reference::scan_max_current_ua(f.profile));
+      benchmark::DoNotOptimize(reference::scan_max_switching(f.profile));
     }
     f.profile.remove_gate(f.tt.at(in), f.cells[in].ipeak_ua);
     f.profile.add_gate(f.tt.at(out), f.cells[out].ipeak_ua);
@@ -479,7 +482,9 @@ BENCHMARK(BM_ProfileCommitAndMax)
     ->Unit(benchmark::kMicrosecond);
 
 // Closed-form 50%-crossing vs the historical 100-iteration bisection it
-// replaced (both still bit-identical, pinned by the electrical tests).
+// replaced (both still bit-identical, pinned by the electrical tests). The
+// reference bisection re-solves the waveform per evaluation, so it reads
+// slower than the in-library bisection it reproduces did.
 void BM_DelayAnchorClosedVsBisect(benchmark::State& state) {
   const bool closed = state.range(0) != 0;
   elec::DelayModelInput in;
@@ -492,8 +497,7 @@ void BM_DelayAnchorClosedVsBisect(benchmark::State& state) {
     if (closed) {
       benchmark::DoNotOptimize(elec::DelayDegradationModel::t50_ps(in));
     } else {
-      benchmark::DoNotOptimize(
-          elec::DelayDegradationModel::t50_ps_bisect(in));
+      benchmark::DoNotOptimize(reference::t50_ps_bisect(in));
     }
     in.n = (in.n % 200) + 1;
   }

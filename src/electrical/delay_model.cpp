@@ -147,26 +147,6 @@ double DelayDegradationModel::t50_ps(const DelayModelInput& in) {
   return refine_replay(w, hi, t_cross, have_cross);
 }
 
-double DelayDegradationModel::t50_ps_bisect(const DelayModelInput& in) {
-  validate(in);
-  const double t50_nominal = kLn2 * in.rg_kohm * in.cg_ff;
-  if (in.rs_kohm <= kTiny) return t50_nominal;  // rail pinned to ground
-  const double k = static_cast<double>(in.n) * in.rs_kohm / in.rg_kohm;
-  if (in.cs_ff <= kTiny) return t50_nominal * (1.0 + k);
-  const Waveform w = solve(in);
-  double lo = 0.0;
-  double hi = bracket_hi(w, t50_nominal * (1.0 + k));
-  for (int i = 0; i < 100; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if (w.at(mid) > 0.5)
-      lo = mid;
-    else
-      hi = mid;
-    if ((hi - lo) <= 1e-12 * hi) break;
-  }
-  return 0.5 * (lo + hi);
-}
-
 double DelayDegradationModel::delta(const DelayModelInput& in) {
   validate(in);
   const double t50_nominal = kLn2 * in.rg_kohm * in.cg_ff;

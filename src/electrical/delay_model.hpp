@@ -22,10 +22,9 @@
 // bisection decision is settled by comparing the midpoint against the
 // analytic crossing; only midpoints inside a guard band around the crossing
 // — the last couple of iterations — fall back to evaluating the waveform).
-// t50_ps_bisect() keeps the plain bracket-and-bisect path callable as the
-// bit-identity reference for tests and bench/perf_micro.cpp. Verified
-// properties (see tests): t50_ps == t50_ps_bisect bit-for-bit across the
-// operating range, delta >= 1, delta -> 1 as R_s -> 0, monotone
+// The plain bracket-and-bisect path lives in tests/reference/delay_model.hpp
+// as the bit-identity reference. Verified properties (see tests): t50_ps
+// equals that bisection bit-for-bit across the operating range, delta >= 1, delta -> 1 as R_s -> 0, monotone
 // non-decreasing in n and in R_s, and agreement with a direct RK4
 // integration of the ODE system.
 #pragma once
@@ -49,18 +48,13 @@ class DelayDegradationModel {
 
   /// 50%-crossing time of V_out starting from VDD, in ps. Analytic
   /// (Newton-seeded) crossing with a comparison-driven refinement replay;
-  /// bit-identical to t50_ps_bisect at a fraction of its exp() count.
+  /// bit-identical to the historical bracket-and-bisect crossing at a
+  /// fraction of its exp() count.
   [[nodiscard]] static double t50_ps(const DelayModelInput& in);
 
-  /// Historical bracket-and-bisect 50%-crossing: doubles the quasi-static
-  /// bound until the waveform falls below 50%, then bisects with up to 100
-  /// waveform evaluations. Kept as the bit-identity reference for t50_ps
-  /// (tests/electrical/test_delay_model.cpp pins t50_ps == t50_ps_bisect;
-  /// bench/perf_micro.cpp measures the gap).
-  [[nodiscard]] static double t50_ps_bisect(const DelayModelInput& in);
-
   /// Analytic output waveform V_out(t)/VDD (exposed for the RK4 cross-check
-  /// tests and the transient-simulator validation).
+  /// tests, the transient-simulator validation and the reference
+  /// bisection in tests/reference/delay_model.hpp).
   [[nodiscard]] static double v_out_norm(const DelayModelInput& in,
                                          double t_ps);
 };

@@ -117,63 +117,6 @@ ModuleCurrentProfile::OverlayMax ModuleCurrentProfile::max_with_gate_removed(
   return best;
 }
 
-double ModuleCurrentProfile::scan_max_current_ua() const {
-  double best = 0.0;
-  for (const double v : current_ua()) best = std::max(best, v);
-  return best;
-}
-
-std::uint32_t ModuleCurrentProfile::scan_max_switching() const {
-  std::uint32_t best = 0;
-  for (const std::uint32_t v : switching()) best = std::max(best, v);
-  return best;
-}
-
-ModuleCurrentProfile::OverlayMax
-ModuleCurrentProfile::scan_max_with_gate_added(const DynamicBitset& times,
-                                               double ipeak_ua) const {
-  IDDQ_ASSERT(times.size() == grid_);
-  const auto cur = current_ua();
-  const auto sw = switching();
-  OverlayMax best;
-  std::size_t next = times.find_first();
-  for (std::size_t t = 0; t < grid_; ++t) {
-    double i = cur[t];
-    std::uint32_t n = sw[t];
-    if (t == next) {
-      i += ipeak_ua;
-      n += 1;
-      next = times.find_next(t);
-    }
-    best.current_ua = std::max(best.current_ua, i);
-    best.switching = std::max(best.switching, n);
-  }
-  return best;
-}
-
-ModuleCurrentProfile::OverlayMax
-ModuleCurrentProfile::scan_max_with_gate_removed(const DynamicBitset& times,
-                                                 double ipeak_ua) const {
-  IDDQ_ASSERT(times.size() == grid_);
-  const auto cur = current_ua();
-  const auto sw = switching();
-  OverlayMax best;
-  std::size_t next = times.find_first();
-  for (std::size_t t = 0; t < grid_; ++t) {
-    double i = cur[t];
-    std::uint32_t n = sw[t];
-    if (t == next) {
-      IDDQ_ASSERT(n > 0);
-      n -= 1;
-      i = n == 0 ? 0.0 : i - ipeak_ua;  // remove_gate's residue cancel
-      next = times.find_next(t);
-    }
-    best.current_ua = std::max(best.current_ua, i);
-    best.switching = std::max(best.switching, n);
-  }
-  return best;
-}
-
 void ModuleCurrentProfile::self_check() const {
   require(current_ua_.size() == 2 * grid_ && switching_.size() == 2 * grid_,
           "current profile self-check: tree storage size mismatch");
@@ -186,10 +129,6 @@ void ModuleCurrentProfile::self_check() const {
                 std::max(switching_[2 * i], switching_[2 * i + 1]),
             "current profile self-check: stale switching tree node");
   }
-  require(max_current_ua() == scan_max_current_ua(),
-          "current profile self-check: tree max != scanned max current");
-  require(max_switching() == scan_max_switching(),
-          "current profile self-check: tree max != scanned max switching");
 }
 
 ModuleCurrentProfile profile_of(const TransitionTimes& tt,

@@ -16,9 +16,8 @@
 // slot of T(g)] applies the committed update arithmetic per slot, and
 // the untouched prefix/suffix contribute via two O(log grid) range-max
 // tree queries — a move probe therefore costs O(span(T(g)) + log grid),
-// independent of the grid size. The scan_* methods keep the historical
-// O(grid) paths callable as bit-identity references for tests and
-// bench/perf_micro.cpp.
+// independent of the grid size. The historical O(grid) scans live in
+// tests/reference/current_profile.hpp as the bit-identity references.
 //
 // Thread-safety: const max queries may rebuild the stale tree (mutable
 // state), so a profile shared across threads must be synced first — any
@@ -99,18 +98,9 @@ class ModuleCurrentProfile {
   [[nodiscard]] OverlayMax max_with_gate_removed(const DynamicBitset& times,
                                                  double ipeak_ua) const;
 
-  /// Historical O(grid) maxima, kept as the bit-identity reference the
-  /// property tests pin the tree against (and perf_micro measures).
-  [[nodiscard]] double scan_max_current_ua() const;
-  [[nodiscard]] std::uint32_t scan_max_switching() const;
-  [[nodiscard]] OverlayMax scan_max_with_gate_added(const DynamicBitset& times,
-                                                    double ipeak_ua) const;
-  [[nodiscard]] OverlayMax scan_max_with_gate_removed(
-      const DynamicBitset& times, double ipeak_ua) const;
-
   /// Validates the incremental max state: syncs the tree, then requires
-  /// every internal node to equal the max of its children and the O(1)
-  /// maxima to match the O(grid) reference scans. Throws on violation.
+  /// every internal node to equal the max of its children (so the root is
+  /// the max over the leaves). Throws on violation.
   void self_check() const;
 
   /// Leaf rows are the semantic state; stale internal nodes are not.

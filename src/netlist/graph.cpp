@@ -1,7 +1,6 @@
 #include "netlist/graph.hpp"
 
 #include <algorithm>
-#include <deque>
 
 namespace iddq::netlist {
 
@@ -18,25 +17,6 @@ UndirectedGraph::UndirectedGraph(const Netlist& nl) {
   }
   for (const auto& adj : adjacency_) edges_ += adj.size();
   edges_ /= 2;
-}
-
-std::vector<std::uint32_t> bfs_within(const UndirectedGraph& graph,
-                                      GateId source, std::uint32_t radius) {
-  std::vector<std::uint32_t> dist(graph.vertex_count(), kUnreached);
-  dist[source] = 0;
-  std::deque<GateId> queue{source};
-  while (!queue.empty()) {
-    const GateId u = queue.front();
-    queue.pop_front();
-    if (dist[u] >= radius) continue;
-    for (const GateId v : graph.neighbors(u)) {
-      if (dist[v] == kUnreached) {
-        dist[v] = dist[u] + 1;
-        queue.push_back(v);
-      }
-    }
-  }
-  return dist;
 }
 
 }  // namespace iddq::netlist

@@ -1,4 +1,4 @@
-// Undirected view of the circuit graph and breadth-first search.
+// Undirected view of the circuit graph.
 //
 // The interconnection cost of section 3.3 is defined on "the undirected graph
 // of the logic circuit": two gates are adjacent when one drives the other.
@@ -35,15 +35,9 @@ class UndirectedGraph {
   std::size_t edges_ = 0;
 };
 
-/// Hop distances from `source` to every vertex within `radius` hops.
-/// Entries beyond the radius (or unreachable) are set to kUnreached.
-///
-/// A reference and test entry point: each call allocates and returns an
-/// n-sized vector. DistanceOracle, the production user of bounded BFS,
-/// runs its own scratch-buffer BFS instead; tests/reference/ diffs the two.
+/// Hop distance of a vertex beyond a bounded BFS's radius or unreachable
+/// (DistanceOracle's scratch-buffer BFS; the per-source reference BFS
+/// lives in tests/reference/graph.hpp).
 inline constexpr std::uint32_t kUnreached = static_cast<std::uint32_t>(-1);
-
-[[nodiscard]] std::vector<std::uint32_t> bfs_within(
-    const UndirectedGraph& graph, GateId source, std::uint32_t radius);
 
 }  // namespace iddq::netlist

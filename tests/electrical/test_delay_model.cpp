@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "reference/delay_model.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -126,7 +127,7 @@ TEST(DelayModel, ClosedFormMatchesBisectionBitForBit) {
     in.rg_kohm = std::pow(10.0, rng.uniform(-1.0, 2.5));
     in.n = static_cast<std::uint32_t>(1 + rng.below(4000));
     const double fast = DelayDegradationModel::t50_ps(in);
-    const double reference = DelayDegradationModel::t50_ps_bisect(in);
+    const double reference = reference::t50_ps_bisect(in);
     ASSERT_EQ(fast, reference)
         << "rs=" << in.rs_kohm << " cs=" << in.cs_ff << " cg=" << in.cg_ff
         << " rg=" << in.rg_kohm << " n=" << in.n;
@@ -147,7 +148,7 @@ TEST(DelayModel, ClosedFormMatchesBisectionAtExtremePoleSplits) {
         in.rg_kohm = 25.0;
         in.n = n;
         ASSERT_EQ(DelayDegradationModel::t50_ps(in),
-                  DelayDegradationModel::t50_ps_bisect(in))
+                  reference::t50_ps_bisect(in))
             << "rs=" << rs << " cs=" << cs << " n=" << n;
       }
 }

@@ -5,6 +5,7 @@
 #include "library/cell_library.hpp"
 #include "netlist/gen/array_cut.hpp"
 #include "netlist/gen/c17.hpp"
+#include "reference/current_profile.hpp"
 #include "support/rng.hpp"
 
 namespace iddq::est {
@@ -157,11 +158,12 @@ TEST(CurrentProfile, TreeMaximaMatchScansUnderRandomChurn) {
         p.add_gate(gates[gate].times, gates[gate].ipeak_ua);
       else
         p.remove_gate(gates[gate].times, gates[gate].ipeak_ua);
-      ASSERT_EQ(p.max_current_ua(), p.scan_max_current_ua());
-      ASSERT_EQ(p.max_switching(), p.scan_max_switching());
-      if (step % 50 == 0) ASSERT_NO_THROW(p.self_check());
+      ASSERT_EQ(p.max_current_ua(), reference::scan_max_current_ua(p));
+      ASSERT_EQ(p.max_switching(), reference::scan_max_switching(p));
+      if (step % 50 == 0)
+        ASSERT_NO_THROW(reference::self_check_against_scan(p));
     }
-    ASSERT_NO_THROW(p.self_check());
+    ASSERT_NO_THROW(reference::self_check_against_scan(p));
   }
 }
 
@@ -188,7 +190,8 @@ TEST(CurrentProfile, OverlayMaximaMatchScansAndRollBack) {
     for (int trial = 0; trial < 100; ++trial) {
       const auto& cand = gates[rng.below(gates.size())];
       const auto fast = p.max_with_gate_added(cand.times, cand.ipeak_ua);
-      const auto ref = p.scan_max_with_gate_added(cand.times, cand.ipeak_ua);
+      const auto ref =
+          reference::scan_max_with_gate_added(p, cand.times, cand.ipeak_ua);
       ASSERT_EQ(fast.current_ua, ref.current_ua);
       ASSERT_EQ(fast.switching, ref.switching);
       // Cross-check against the materialised copy the overlay stands for.
@@ -200,8 +203,8 @@ TEST(CurrentProfile, OverlayMaximaMatchScansAndRollBack) {
       const auto& member = gates[in_module[rng.below(in_module.size())]];
       const auto rfast = p.max_with_gate_removed(member.times,
                                                  member.ipeak_ua);
-      const auto rref =
-          p.scan_max_with_gate_removed(member.times, member.ipeak_ua);
+      const auto rref = reference::scan_max_with_gate_removed(
+          p, member.times, member.ipeak_ua);
       ASSERT_EQ(rfast.current_ua, rref.current_ua);
       ASSERT_EQ(rfast.switching, rref.switching);
       ModuleCurrentProfile rcopy = p;
@@ -211,7 +214,7 @@ TEST(CurrentProfile, OverlayMaximaMatchScansAndRollBack) {
 
       ASSERT_EQ(p, before);  // probes rolled back bit-exactly
     }
-    ASSERT_NO_THROW(p.self_check());
+    ASSERT_NO_THROW(reference::self_check_against_scan(p));
   }
 }
 

