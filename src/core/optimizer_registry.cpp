@@ -56,10 +56,11 @@ constexpr MethodRow kMethods[] = {
        return run_tabu(r, c.tabu);
      }},
 };
-static_assert(std::is_sorted(std::begin(kMethods), std::end(kMethods),
-                             [](const MethodRow& a, const MethodRow& b) {
-                               return a.name < b.name;
-                             }));
+static_assert(std::adjacent_find(std::begin(kMethods), std::end(kMethods),
+                                 [](const MethodRow& a, const MethodRow& b) {
+                                   return a.name >= b.name;
+                                 }) == std::end(kMethods),
+              "kMethods must be sorted by name, without duplicates");
 
 }  // namespace
 
