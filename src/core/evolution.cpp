@@ -18,8 +18,8 @@ class EvolutionEngine {
  public:
   EvolutionEngine(const OptimizerRequest& request, const EsParams& params);
 
-  /// Runs from explicit start partitions (their number may differ from mu;
-  /// they are cycled to fill the initial population).
+  /// Runs from a non-empty set of start partitions (their number may
+  /// differ from mu; they are cycled to fill the initial population).
   [[nodiscard]] OptimizerOutcome run(std::span<const part::Partition> starts);
 
   /// Builds mu chain-clustered start partitions with `module_count`
@@ -138,8 +138,6 @@ OptimizerOutcome EvolutionEngine::run_with_module_count(
 
 OptimizerOutcome EvolutionEngine::run(
     std::span<const part::Partition> starts) {
-  require(!starts.empty(), "evolution: need at least one start partition");
-
   std::vector<Individual> parents;
   parents.reserve(params_.mu);
   for (std::size_t i = 0; i < params_.mu; ++i) {
