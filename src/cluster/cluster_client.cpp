@@ -10,13 +10,13 @@ namespace iddq::cluster {
 
 using json::JsonValue;
 using json::JsonWriter;
+using support::SweepLine;
 
 // ---------------------------------------------------------- ClusterSweep --
 
 ClusterSweep::ClusterSweep(const support::SubmitRequest& request,
-                           EmitFn emit)
-    : id_(request.id),
-      methods_(request.methods),
+                           support::SweepEmit emit)
+    : methods_(request.methods),
       budget_(request.budget),
       use_cache_(request.use_cache),
       priority_(request.priority),
@@ -24,16 +24,6 @@ ClusterSweep::ClusterSweep(const support::SubmitRequest& request,
       merger_(request.id, request.circuits),
       shards_(request.circuits.size()),
       emit_(std::move(emit)) {}
-
-void ClusterSweep::wait() {
-  std::unique_lock lock(mutex_);
-  cv_.wait(lock, [this] { return done_; });
-}
-
-bool ClusterSweep::finished() const {
-  const std::scoped_lock lock(mutex_);
-  return done_;
-}
 
 // --------------------------------------------------------- ClusterClient --
 
@@ -184,8 +174,10 @@ void ClusterClient::reader_loop(std::size_t backend,
       const std::scoped_lock lock(state_mutex_);
       routes_.erase(id);
     }
-    if (fwd.line) route.sweep->emit_(*fwd.line, fwd.droppable);
-    if (fwd.became_terminal) finish_if_done(route.sweep);
+    if (fwd.line)
+      route.sweep->emit_(*fwd.line, fwd.droppable ? SweepLine::progress
+                                                  : SweepLine::event);
+    if (fwd.became_terminal) finish_if_done(*route.sweep);
   }
   handle_backend_down(backend, channel);
 }
@@ -215,18 +207,9 @@ void ClusterClient::handle_backend_down(
       }
     }
   }
-  if (stopping_.load()) {
-    // Sessions drain their sweeps before the client dies; this is the
-    // last-resort path that keeps a waiter from hanging anyway.
-    for (const auto& [sweep, shard] : orphans) {
-      (void)sweep->merger_.fail_shard(shard, "cluster client stopped");
-      finish_if_done(sweep, /*emit_lines=*/false);
-    }
-    return;
-  }
   // This thread's backend is gone and the thread has nothing left to read:
   // re-dispatching the orphans here (backoff sleeps included) costs no one
-  // else anything.
+  // else anything. A stopping client fails them instead.
   for (const auto& [sweep, shard] : orphans) {
     sweep->merger_.reopen(shard);
     dispatch_shard(sweep, shard);
@@ -236,40 +219,34 @@ void ClusterClient::handle_backend_down(
 void ClusterClient::dispatch_shard(
     const std::shared_ptr<ClusterSweep>& sweep, std::size_t shard) {
   ClusterSweep::Shard& sh = sweep->shards_[shard];
+  // Ends the shard with a synthesized terminal line (empty: already
+  // terminal) and, with the last shard, the sweep.
+  const auto terminate = [&sweep](const std::string& line) {
+    if (line.empty()) return;
+    sweep->emit_(line, SweepLine::event);
+    finish_if_done(*sweep);
+  };
   while (true) {
     if (stopping_.load()) {
-      (void)sweep->merger_.fail_shard(shard, "cluster client stopped");
-      finish_if_done(sweep, /*emit_lines=*/false);
+      terminate(sweep->merger_.fail_shard(shard, "cluster client stopped"));
       return;
     }
     if (sweep->cancel_requested_.load()) {
-      const std::string line = sweep->merger_.cancel_shard(shard);
-      if (!line.empty()) {
-        sweep->emit_(line, /*droppable=*/false);
-        finish_if_done(sweep);
-      }
+      terminate(sweep->merger_.cancel_shard(shard));
       return;
     }
     std::size_t attempt = 0;
+    std::string reason;
     {
       const std::scoped_lock lock(state_mutex_);
       attempt = sh.attempts++;
+      reason = sh.last_error;
     }
     if (attempt >= options_.max_attempts) {
-      std::string reason;
-      {
-        const std::scoped_lock lock(state_mutex_);
-        reason = sh.last_error.empty()
-                     ? "no reachable backend after " +
-                           std::to_string(options_.max_attempts) +
-                           " attempts"
-                     : sh.last_error;
-      }
-      const std::string line = sweep->merger_.fail_shard(shard, reason);
-      if (!line.empty()) {
-        sweep->emit_(line, /*droppable=*/false);
-        finish_if_done(sweep);
-      }
+      if (reason.empty())
+        reason = "no reachable backend after " +
+                 std::to_string(options_.max_attempts) + " attempts";
+      terminate(sweep->merger_.fail_shard(shard, reason));
       return;
     }
     if (attempt > 0 && options_.backoff_ms > 0) {
@@ -365,20 +342,18 @@ void ClusterClient::dispatch_shard(
   }
 }
 
-void ClusterClient::finish_if_done(const std::shared_ptr<ClusterSweep>& sweep,
-                                   bool emit_lines) {
-  const auto done_line = sweep->merger_.take_sweep_done();
-  if (!done_line) return;
-  if (emit_lines) sweep->emit_(*done_line, /*droppable=*/false);
-  const std::scoped_lock lock(sweep->mutex_);
-  sweep->done_ = true;
-  sweep->cv_.notify_all();
+void ClusterClient::finish_if_done(ClusterSweep& sweep) {
+  if (const auto done_line = sweep.merger_.take_sweep_done())
+    sweep.emit_(*done_line, SweepLine::sweep_done);
 }
 
-std::shared_ptr<ClusterSweep> ClusterClient::submit_sweep(
-    const support::SubmitRequest& request, EmitFn emit) {
+std::shared_ptr<support::SweepHandle> ClusterClient::submit_sweep(
+    const support::SubmitRequest& request, support::SweepEmit emit) {
   auto sweep = std::shared_ptr<ClusterSweep>(
       new ClusterSweep(request, std::move(emit)));
+  // The same accepted bytes a direct server answers with, ahead of any
+  // backend event.
+  sweep->emit_(support::accepted_line(request), SweepLine::event);
   for (std::size_t shard = 0; shard < request.circuits.size(); ++shard) {
     ClusterSweep::Shard& sh = sweep->shards_[shard];
     // The `iddqsyn --jobs` derivation, shard i at mix_seed(seed, i),
@@ -396,13 +371,14 @@ std::shared_ptr<ClusterSweep> ClusterClient::submit_sweep(
   return sweep;
 }
 
-void ClusterClient::cancel(const std::shared_ptr<ClusterSweep>& sweep) {
-  sweep->cancel_requested_.store(true);
+void ClusterClient::cancel(support::SweepHandle& handle) {
+  auto& sweep = static_cast<ClusterSweep&>(handle);
+  sweep.cancel_requested_.store(true);
   std::vector<std::pair<std::size_t, std::string>> active;
   {
     const std::scoped_lock lock(state_mutex_);
     for (const auto& [id, route] : routes_)
-      if (route.sweep == sweep) active.emplace_back(route.backend, id);
+      if (route.sweep.get() == &sweep) active.emplace_back(route.backend, id);
   }
   for (const auto& [backend, id] : active) {
     // Best-effort: a backend that died instead will fail over, and the
@@ -603,7 +579,15 @@ std::string ClusterClient::stats_line() {
   return std::move(w).str();
 }
 
-std::string ClusterClient::ping_line() {
+std::string ClusterClient::hello_line() {
+  return JsonWriter()
+      .field("event", "hello")
+      .field("protocol", std::uint64_t{1})
+      .field("backends", static_cast<std::uint64_t>(backends_.size()))
+      .str();
+}
+
+std::string ClusterClient::ping_line(std::string_view id) {
   const auto replies =
       broadcast(JsonWriter().field("op", "ping").str(), "pong");
   std::uint64_t alive = 0;
@@ -614,13 +598,14 @@ std::string ClusterClient::ping_line() {
     if (const auto event = JsonValue::parse(reply))
       workers += event->get_u64("workers");
   }
-  return JsonWriter()
-      .field("event", "pong")
+  JsonWriter pong;
+  pong.field("event", "pong")
       .field("protocol", std::uint64_t{1})
       .field("backends", static_cast<std::uint64_t>(backends_.size()))
       .field("backends_alive", alive)
-      .field("workers", workers)
-      .str();
+      .field("workers", workers);
+  if (!id.empty()) pong.field("id", id);
+  return std::move(pong).str();
 }
 
 }  // namespace iddq::cluster

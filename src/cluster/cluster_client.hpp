@@ -20,6 +20,8 @@
 // exhausted gets a synthesized `failed` terminal — the sweep always
 // completes.
 //
+// ClusterClient is the cluster front-end's support::SweepBackend: the one
+// protocol session (core/job_protocol.hpp) relays sweeps through it, and
 // stats_line()/ping_line() fan the corresponding op to every backend and
 // aggregate the replies (docs/cluster.md, "Operating it").
 #pragma once
@@ -28,10 +30,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -73,19 +75,8 @@ struct ClusterOptions {
   std::size_t breaker_cooldown_ms = 1000;
 };
 
-/// Sink for merged event lines; `droppable` marks progress ticks so the
-/// caller can apply its backpressure class. Called from backend reader
-/// threads and from the submitting thread; must not block indefinitely.
-using EmitFn = std::function<void(const std::string& line, bool droppable)>;
-
 /// Handle of one in-flight cluster sweep; created by submit_sweep.
-class ClusterSweep {
- public:
-  /// Blocks until every shard is terminal and sweep_done was emitted.
-  void wait();
-  [[nodiscard]] bool finished() const;
-  [[nodiscard]] const std::string& id() const noexcept { return id_; }
-
+class ClusterSweep final : public support::SweepHandle {
  private:
   friend class ClusterClient;
   struct Shard {
@@ -97,9 +88,9 @@ class ClusterSweep {
     std::string last_error;  // latest backend rejection, for fail_shard
   };
 
-  ClusterSweep(const support::SubmitRequest& request, EmitFn emit);
+  ClusterSweep(const support::SubmitRequest& request,
+               support::SweepEmit emit);
 
-  std::string id_;
   std::vector<std::string> methods_;
   std::size_t budget_ = 0;
   bool use_cache_ = true;
@@ -107,44 +98,47 @@ class ClusterSweep {
   std::size_t deadline_ms_ = 0;
   RowMerger merger_;
   std::vector<Shard> shards_;
-  EmitFn emit_;
+  support::SweepEmit emit_;
   std::atomic<bool> cancel_requested_{false};
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  bool done_ = false;
 };
 
-class ClusterClient {
+class ClusterClient final : public support::SweepBackend {
  public:
   /// `endpoints` name the backends (--submit convention: host:port or unix
   /// socket path; duplicates ignored); `library_fp` feeds the routing
   /// fingerprint. Connections are opened lazily on first dispatch.
   ClusterClient(const std::vector<std::string>& endpoints,
                 std::uint64_t library_fp, ClusterOptions options = {});
-  ~ClusterClient();
+  ~ClusterClient() override;
 
   ClusterClient(const ClusterClient&) = delete;
   ClusterClient& operator=(const ClusterClient&) = delete;
 
-  /// Routes and dispatches every shard (blocking until each is written to
-  /// a backend, has exhausted its attempts, or the sweep is cancelled) and
-  /// returns the handle; events stream to `emit` as backends produce them.
+  /// Emits `accepted`, then routes and dispatches every shard (blocking
+  /// until each is written to a backend, has exhausted its attempts, or
+  /// the sweep is cancelled) and returns the handle; events stream to
+  /// `emit` as backends produce them, merged, ending with sweep_done.
   /// A non-zero request.deadline_ms is forwarded verbatim to every shard's
   /// backend submit; 0 omits the field, so the backend's default applies.
-  std::shared_ptr<ClusterSweep> submit_sweep(
-      const support::SubmitRequest& request, EmitFn emit);
+  std::shared_ptr<support::SweepHandle> submit_sweep(
+      const support::SubmitRequest& request,
+      support::SweepEmit emit) override;
 
   /// Cooperatively cancels a sweep: forwards cancel to the backends
   /// holding its shards; shards between dispatches turn cancelled locally.
-  void cancel(const std::shared_ptr<ClusterSweep>& sweep);
+  void cancel(support::SweepHandle& sweep) override;
+
+  /// `hello` with the number of backends on the ring.
+  [[nodiscard]] std::string hello_line() override;
 
   /// Aggregate `stats` event across all reachable backends: summed
   /// service/cache counters plus a per_backend array (docs/cluster.md).
-  [[nodiscard]] std::string stats_line();
+  [[nodiscard]] std::string stats_line() override;
 
   /// Aggregate `pong` event: pings every backend, reports backends/alive
-  /// and the summed worker count of the ones that answered.
-  [[nodiscard]] std::string ping_line();
+  /// and the summed worker count of the ones that answered; echoes a
+  /// non-empty `id`.
+  [[nodiscard]] std::string ping_line(std::string_view id) override;
 
   [[nodiscard]] std::size_t backend_count() const noexcept {
     return backends_.size();
@@ -188,10 +182,8 @@ class ClusterClient {
                            const std::shared_ptr<support::FdChannel>& channel);
   void dispatch_shard(const std::shared_ptr<ClusterSweep>& sweep,
                       std::size_t shard);
-  /// Emits sweep_done (exactly once) and wakes waiters when the last
-  /// shard turned terminal.
-  void finish_if_done(const std::shared_ptr<ClusterSweep>& sweep,
-                      bool emit_lines = true);
+  /// Emits sweep_done (exactly once) when the last shard turned terminal.
+  static void finish_if_done(ClusterSweep& sweep);
   bool write_to_backend(std::size_t backend, const std::string& line);
   /// Heartbeat prober (started when options_.heartbeat_ms > 0): probes
   /// every backend each cycle, drives the per-backend circuit breaker,

@@ -247,7 +247,6 @@ OptimizerOutcome EvolutionEngine::run(
   result.partition = best.eval.partition();
   result.fitness = best.fitness;
   result.costs = best.eval.costs();
-  request_->report(result);
   return result;
 }
 

@@ -90,12 +90,6 @@ enum class EventDeliveryClass {
   must_deliver,  // delivered in order, or the session disconnects
 };
 
-[[nodiscard]] constexpr EventDeliveryClass delivery_class(
-    JobEvent::Kind kind) noexcept {
-  return kind == JobEvent::Kind::progress ? EventDeliveryClass::droppable
-                                          : EventDeliveryClass::must_deliver;
-}
-
 /// Invoked from the worker thread running the job; events of one job are
 /// ordered, events of different jobs interleave. Must not call back into
 /// JobHandle::wait() (deadlock by design: the worker is the thread being

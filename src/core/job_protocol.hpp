@@ -1,13 +1,17 @@
 // Line-delimited JSON job protocol — the wire format of iddqsyn_server
-// (docs/server.md has the full spec and a worked session).
+// and iddqsyn_cluster (docs/server.md has the full spec and a worked
+// session).
 //
 // One JobProtocolSession serves one client connection: it reads request
-// objects line by line from a support::LineChannel, shards submits across
-// the shared JobService (per-shard seeds follow the `iddqsyn --jobs`
-// derivation, shard i at mix_seed(seed, i), so server results are
-// byte-identical to `iddqsyn --jobs N` at the same base seed), and streams
-// every JobEvent back as it happens. Worker threads emit concurrently; the
-// session serializes channel writes internally.
+// objects line by line from a support::LineChannel and streams every
+// sweep's events back as they happen. What runs the sweeps is a
+// support::SweepBackend: on the job server, a per-session backend that
+// shards submits across the shared JobService (per-shard seeds follow the
+// `iddqsyn --jobs` derivation, shard i at mix_seed(seed, i), so server
+// results are byte-identical to `iddqsyn --jobs N` at the same base seed);
+// on the cluster front-end, the shared cluster::ClusterClient. Worker and
+// reader threads emit concurrently; the session's event writer serializes
+// channel writes.
 //
 // Requests (one JSON object per line):
 //   {"op":"submit","id":"t1","circuits":["c17","c1908"],
@@ -21,20 +25,22 @@
 // cannot change rows (docs/cluster.md).
 //   {"op":"cancel","id":"t1"}
 //   {"op":"stats"}
-//   {"op":"ping"}      -> {"event":"pong","protocol":1,"workers":N}
+//   {"op":"ping","id":"p"}  -> {"event":"pong","protocol":1,...,"id":"p"}
 //   {"op":"shutdown"}
 //
 // Responses/events: hello, accepted, queued, running, progress, row, done,
-// failed, cancelled, sweep_done, stats, error, bye. Every job event
+// failed, cancelled, sweep_done, stats, pong, error, bye. Every job event
 // carries the client-chosen sweep "id" plus the shard's "circuit".
 //
 // End of session: a shutdown op or channel EOF. Both drain — every
-// submitted job reaches a terminal state and its events are flushed
+// submitted sweep reaches its sweep_done and its events are flushed
 // before run() returns (shutdown additionally answers "bye").
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -61,9 +67,9 @@ struct SessionTrafficStats {
   std::atomic<std::uint64_t> drained_sessions{0};
 };
 
-/// Session knobs; namespace-scope so it can be a default argument.
+/// Session knobs; namespace-scope so it can be a default argument. The
+/// admission, quota and deadline knobs apply to job server sessions.
 struct JobProtocolOptions {
-  bool emit_hello = true;  // announce protocol/workers on session start
   /// Admission bound (iddqsyn_server --max-queue): a submit whose shard
   /// fan-out would push the service's queue depth past this is rejected
   /// whole with a protocol `error` event — nothing of it is queued. 0 =
@@ -84,12 +90,12 @@ struct JobProtocolOptions {
   /// Optional server-wide counters; sessions bump them when the overflow
   /// policy or the quota fires. May be nullptr (standalone sessions).
   SessionTrafficStats* traffic = nullptr;
-  /// Server-wide drain flag (docs/robustness.md). When set — by any
-  /// session's shutdown op or the server's SIGTERM handler — every
-  /// session rejects new submits with a protocol `error`, finishes its
-  /// in-flight jobs bounded by `drain_timeout_ms`, and answers `bye`.
-  /// May be nullptr (standalone sessions: only their own shutdown op
-  /// drains them, unbounded — the pre-drain semantics).
+  /// Server-wide drain flag (docs/robustness.md), owned by the
+  /// ProtocolServer. When set — by any session's shutdown op or the
+  /// server's SIGTERM hook — every session rejects new submits with a
+  /// protocol `error`, finishes its in-flight sweeps bounded by
+  /// `drain_timeout_ms`, and answers `bye`. May be nullptr (standalone
+  /// sessions: only their own shutdown op drains them, unbounded).
   std::atomic<bool>* draining = nullptr;
   /// Budget for in-flight jobs once draining (iddqsyn_server
   /// --drain-timeout-ms): jobs still running at the deadline are
@@ -105,82 +111,129 @@ class JobProtocolSession {
  public:
   using Options = JobProtocolOptions;
 
-  /// `service` and `channel` must outlive the session. The service is
-  /// shared: several sessions (server connections) may submit to it
-  /// concurrently.
+  /// A job server session over `service`, which several sessions may
+  /// share. `service` and `channel` must outlive the session.
   JobProtocolSession(JobService& service, support::LineChannel& channel,
                      Options options = {});
+  /// A session whose sweeps run on `backend` (the cluster front-end's
+  /// ClusterClient). `backend` and `channel` must outlive the session.
+  JobProtocolSession(support::SweepBackend& backend,
+                     support::LineChannel& channel, Options options = {});
+  ~JobProtocolSession();
+
+  JobProtocolSession(const JobProtocolSession&) = delete;
+  JobProtocolSession& operator=(const JobProtocolSession&) = delete;
 
   /// Serves the connection until EOF or a shutdown op; drains outstanding
-  /// jobs before returning. Returns true when the client asked the whole
+  /// sweeps before returning. Returns true when the client asked the whole
   /// server to shut down (the caller decides what that means).
   bool run();
 
-  /// Jobs this session still holds for cancel and drain(): those of its
-  /// unfinished sweeps. A sweep's jobs are released once its sweep_done
-  /// is sent (the finishing shard's sink does it last, so this may read
-  /// the old count for a moment after sweep_done reached the channel).
-  [[nodiscard]] std::size_t tracked_jobs();
+  /// Sweeps this session still holds for cancel and drain: its unfinished
+  /// ones. A sweep is released as its sweep_done is posted; a finished
+  /// sweep keeps only its id.
+  [[nodiscard]] std::size_t tracked_sweeps();
 
  private:
-  /// One submit's fan-out state; counters guarded by state_mutex_. Each
-  /// shard's event sink owns the Sweep, so it must not own the shards'
-  /// JobHandles in turn (that cycle would keep every job alive forever);
-  /// the session's jobs_ list holds them instead.
-  struct Sweep {
-    std::string id;
-    std::size_t remaining = 0;
-    std::size_t announced = 0;  // shards whose `queued` event was seen
-    std::size_t ok = 0;
-    std::size_t failed = 0;
-    std::size_t cancelled = 0;
-  };
-  /// A submitted shard and the sweep it belongs to.
-  struct SweepJob {
-    const Sweep* sweep;
-    JobHandle handle;
+  class ServiceBackend;
+
+  /// A sweep id this session has used. `running` drops as the sweep's
+  /// sweep_done is posted, so the id may be reused from then on; `handle`
+  /// is held from submit_sweep's return until then.
+  struct Tracked {
+    std::shared_ptr<support::SweepHandle> handle;
+    bool running = false;
   };
 
   /// Returns true when the line was a shutdown op.
   bool handle_line(const std::string& line);
   void handle_submit(const support::SubmitRequest& request);
-  void on_event(const std::shared_ptr<Sweep>& sweep, const JobEvent& event);
-  void send_sweep_done(const std::string& id, std::size_t ok,
-                       std::size_t failed, std::size_t cancelled);
-  /// Drops a finished sweep's handles (after its sweep_done was sent).
-  void forget_jobs(const Sweep* sweep);
+  /// The SweepEmit every sweep of this session streams through.
+  void on_sweep_line(const std::string& id, const std::string& line,
+                     support::SweepLine kind);
   /// Routes through the session's event writer (non-blocking; overflow
-  /// policy applies per `cls`). Everything except progress ticks is
-  /// must_deliver.
+  /// policy applies per `cls`).
   void send(const std::string& json,
             EventDeliveryClass cls = EventDeliveryClass::must_deliver);
-  /// `id` (when non-empty) tags the error with the submit it rejects, so
-  /// relaying clients can attribute it to a sweep.
   void send_error(const std::string& message, const std::string& id = "");
-  void send_stats();
+  std::vector<std::shared_ptr<support::SweepHandle>> running_sweeps();
+  void cancel_all();
+  /// Waits until every submitted sweep has posted its sweep_done; once
+  /// the server is draining, cancels what is left after drain_timeout_ms.
   void drain();
   /// The writer's overflow hook: aborts the read loop and cancels every
-  /// job this session still owns, so a disconnected session's work stops
-  /// consuming workers.
+  /// sweep this session still runs, so a disconnected session's work
+  /// stops consuming workers.
   void on_overflow_disconnect();
 
-  JobService* service_;
+  std::unique_ptr<ServiceBackend> owned_backend_;
+  support::SweepBackend* backend_;
   support::LineChannel* channel_;
   Options options_;
 
-  std::mutex write_mutex_;  // serializes the no-writer fallback path
-  std::mutex state_mutex_;  // guards sweeps_ / jobs_ / in_flight_
-  std::unordered_map<std::string, std::shared_ptr<Sweep>> sweeps_;
-  /// The jobs of this session's unfinished sweeps: what cancel, the
-  /// overflow hook and drain() act on. A sweep's entries go once its
-  /// sweep_done is sent, so a long-lived session does not accumulate
-  /// finished jobs (their rows and partitions).
-  std::vector<SweepJob> jobs_;
-  std::size_t in_flight_ = 0;  // submitted shards not yet terminal
+  std::mutex mutex_;  // guards sweeps_ / unfinished_
+  std::condition_variable finished_cv_;
+  std::unordered_map<std::string, Tracked> sweeps_;
+  /// Submitted sweeps whose sweep_done is not posted yet: what drain()
+  /// waits for.
+  std::size_t unfinished_ = 0;
   std::uint64_t auto_id_ = 0;  // for submits without an "id"
-  /// The run()-scoped event writer; null outside run() (send() then
-  /// falls back to a direct locked write).
+  /// The run()-scoped event writer; sweeps only run inside run().
   SessionEventWriter* writer_ = nullptr;
+};
+
+/// The accept loop of every tool that serves the protocol on a socket
+/// (iddqsyn_server, iddqsyn_cluster): one thread per connection, each
+/// running a JobProtocolSession. serve() returns once the listener closes
+/// — a client's shutdown op, SIGTERM (after drain_on_sigterm()) or sever()
+/// — and the server has drained: the draining flag is up, so sessions
+/// reject new submits; every live session's read is shut, so it finishes
+/// its sweeps (within Options::drain_timeout_ms) and says bye; and every
+/// session thread is joined.
+class ProtocolServer {
+ public:
+  /// Sessions run over `backend`, a JobService or a support::SweepBackend
+  /// that outlives the server, with `options` — whose draining flag is
+  /// replaced by the server's own.
+  template <typename Backend>
+  ProtocolServer(support::SocketListener& listener, Backend& backend,
+                 JobProtocolOptions options)
+      : listener_(&listener),
+        run_session_([&backend](support::LineChannel& channel,
+                                const JobProtocolOptions& session_options) {
+          return JobProtocolSession(backend, channel, session_options).run();
+        }),
+        options_(options) {
+    options_.draining = &draining_;
+  }
+
+  ProtocolServer(const ProtocolServer&) = delete;
+  ProtocolServer& operator=(const ProtocolServer&) = delete;
+
+  /// Accepts and serves until the listener closes, then drains. Returns
+  /// true when a client's shutdown op ended it.
+  bool serve();
+
+  /// Makes SIGTERM close the listener, which drains the server. One
+  /// server per process; SIGTERM's default action is back once serve()
+  /// returns.
+  void drain_on_sigterm();
+
+  /// Closes the listener and cuts every live connection both ways: to its
+  /// clients the server is gone.
+  void sever();
+
+ private:
+  support::SocketListener* listener_;
+  std::function<bool(support::LineChannel&, const JobProtocolOptions&)>
+      run_session_;
+  JobProtocolOptions options_;
+  bool sigterm_hook_ = false;
+  std::atomic<bool> draining_{false};
+  std::atomic<bool> shutdown_requested_{false};
+  std::mutex mutex_;  // guards live_
+  /// Every connection still being served, so drain and sever can reach it.
+  std::vector<std::weak_ptr<support::FdChannel>> live_;
 };
 
 }  // namespace iddq::core

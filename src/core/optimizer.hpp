@@ -28,10 +28,13 @@ class ExecutorPool;
 
 namespace iddq::core {
 
-/// Snapshot handed to OptimizerRequest::on_progress. The evolution,
-/// annealing, and tabu searches report live (every generation, every 1000
-/// steps, every 25 rounds) plus once on completion; the single-shot
-/// methods (standard, force, random, greedy) report on completion only.
+/// Snapshot handed to OptimizerRequest::on_progress. The evolution
+/// strategy reports every generation, its last tick carrying the outcome's
+/// totals; annealing and tabu report live (every 1000 steps, every 25
+/// rounds) plus once on completion; the single-shot methods (standard,
+/// force, random, greedy) report on completion only. Within a `+`
+/// pipeline, each stage's ticks count on from the iterations and
+/// evaluations the earlier stages spent, so they rise monotonically.
 /// Callbacks may be invoked from worker threads and must never mutate
 /// search state — they can also throw (e.g. CancelledError) to abort the
 /// run, which is how JobService implements mid-run cancellation.
@@ -112,7 +115,7 @@ struct OptimizerRequest {
   void report(std::string_view method, std::size_t iteration,
               std::size_t evaluations, const part::Fitness& best) const;
 
-  /// The final tick every method sends on completion.
+  /// The final tick of the methods that report on completion.
   void report(const OptimizerOutcome& outcome) const {
     report(outcome.method, outcome.iterations, outcome.evaluations,
            outcome.fitness);

@@ -135,9 +135,10 @@ OptimizerOutcome OptimizerPlan::run(const OptimizerRequest& request) const {
 
 // Runs the stages in sequence; every stage after the first starts from the
 // partition the previous stage produced. Evaluations and iterations
-// accumulate; the returned partition/fitness/costs are the best any stage
-// reached. A request budget is shared across stages: each stage gets what
-// the previous stages have not already spent.
+// accumulate, in the outcome and in the stages' progress ticks alike; the
+// returned partition/fitness/costs are the best any stage reached. A
+// request budget is shared across stages: each stage gets what the
+// previous stages have not already spent.
 OptimizerOutcome OptimizerPlan::run_pipeline(
     const Pipeline& pipeline, const OptimizerRequest& request) const {
   if (pipeline.stages.size() == 1)
@@ -146,6 +147,15 @@ OptimizerOutcome OptimizerPlan::run_pipeline(
   OptimizerOutcome best;
   std::size_t evaluations = 0;
   std::size_t iterations = 0;
+  if (request.on_progress) {
+    // Only written between stages, so a stage's ticks read fixed offsets.
+    stage_request.on_progress = [&](const OptimizerProgress& tick) {
+      OptimizerProgress total = tick;
+      total.iteration += iterations;
+      total.evaluations += evaluations;
+      request.on_progress(total);
+    };
+  }
   std::vector<GenerationStats> trace;
   for (std::size_t i = 0; i < pipeline.stages.size(); ++i) {
     if (request.max_evaluations > 0) {

@@ -57,4 +57,20 @@ SubmitRequest parse_submit_request(const json::JsonValue& request,
   return submit;
 }
 
+std::string accepted_line(const SubmitRequest& request) {
+  return json::JsonWriter()
+      .field("event", "accepted")
+      .field("id", request.id)
+      .field("jobs", request.circuits.size())
+      .str();
+}
+
+std::string error_line(std::string_view message, std::string_view id) {
+  json::JsonWriter w;
+  w.field("event", "error");
+  if (!id.empty()) w.field("id", id);
+  w.field("message", message);
+  return std::move(w).str();
+}
+
 }  // namespace iddq::support

@@ -1,6 +1,6 @@
-// End-to-end cluster acceptance (ISSUE PR 8): a ClusterClient fanning
-// sweeps over real in-process TCP backends (TcpSocketListener +
-// JobService + JobProtocolSession — the same stack iddqsyn_server runs)
+// End-to-end cluster acceptance: a ClusterClient fanning sweeps over real
+// in-process TCP backends (TcpSocketListener + ProtocolServer +
+// JobService — the same stack iddqsyn_server runs)
 // must produce a merged stream byte-identical to one direct server,
 // through healthy runs, connect-refused endpoints, and a backend killed
 // after `accepted` but before its first `row`.
@@ -21,34 +21,14 @@
 #include <vector>
 
 #include "cluster/shard_router.hpp"
-#include "core/flow_engine.hpp"
-#include "core/job_protocol.hpp"
-#include "core/job_service.hpp"
 #include "library/cell_library.hpp"
 #include "library/fingerprint.hpp"
-#include "netlist/gen/random_dag.hpp"
 #include "support/json.hpp"
 #include "support/transport.hpp"
+#include "test_backend.hpp"
 
 namespace iddq::cluster {
 namespace {
-
-netlist::Netlist synthetic_circuit(const std::string& spec) {
-  const std::size_t gates = 120 + 40 * (spec.back() - 'a');
-  return netlist::gen::make_random_dag(
-      netlist::gen::DagProfile::basic(spec, gates, 10, 5));
-}
-
-core::FlowEngineConfig quick_config() {
-  core::FlowEngineConfig config;
-  config.optimizers.es.mu = 3;
-  config.optimizers.es.lambda = 3;
-  config.optimizers.es.chi = 1;
-  config.optimizers.es.max_generations = 10;
-  config.optimizers.es.stall_generations = 5;
-  config.optimizers.random_samples = 50;
-  return config;
-}
 
 /// Blocks the victim backend's circuit loader until released, so its
 /// shards are provably accepted-but-rowless when the backend dies.
@@ -72,91 +52,6 @@ class LoaderGate {
   bool open_ = false;
 };
 
-/// One in-process backend: the exact iddqsyn_server serving stack — a TCP
-/// listener accepting FdChannel connections, each served by a
-/// JobProtocolSession over a shared JobService.
-class TestBackend {
- public:
-  /// `port` 0 picks an ephemeral port; a fixed port lets a test restart a
-  /// killed backend at the same endpoint (breaker half-open re-admission).
-  TestBackend(const lib::CellLibrary& library,
-              core::JobService::CircuitLoader loader,
-              core::FlowEngineConfig flow = quick_config(),
-              std::uint16_t port = 0)
-      : listener_("127.0.0.1", port), endpoint_(listener_.endpoint()) {
-    core::JobServiceConfig config;
-    config.workers = 2;
-    config.flow = std::move(flow);
-    service_ = std::make_unique<core::JobService>(library, std::move(config));
-    service_->set_circuit_loader(std::move(loader));
-    accept_thread_ = std::thread([this] { accept_loop(); });
-  }
-
-  ~TestBackend() {
-    kill();
-    if (accept_thread_.joinable()) accept_thread_.join();
-    for (auto& t : session_threads_)
-      if (t.joinable()) t.join();
-  }
-
-  [[nodiscard]] const std::string& endpoint() const { return endpoint_; }
-  [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
-  [[nodiscard]] core::JobService& service() { return *service_; }
-
-  /// Simulates the backend dying: stop accepting and sever every live
-  /// session connection (the cluster's readers see EOF).
-  void kill() {
-    listener_.close();
-    const std::scoped_lock lock(mutex_);
-    for (const auto& channel : channels_) {
-      channel->shutdown_read();
-      channel->shutdown_write();
-    }
-  }
-
- private:
-  void accept_loop() {
-    while (auto accepted = listener_.accept()) {
-      std::shared_ptr<support::FdChannel> channel = std::move(accepted);
-      const std::scoped_lock lock(mutex_);
-      channels_.push_back(channel);
-      session_threads_.emplace_back([this, channel] {
-        core::JobProtocolSession session(*service_, *channel, {});
-        (void)session.run();
-      });
-    }
-  }
-
-  support::TcpSocketListener listener_;
-  std::string endpoint_;
-  std::unique_ptr<core::JobService> service_;
-  std::thread accept_thread_;
-  std::mutex mutex_;  // channels_ and session_threads_ vs kill()
-  std::vector<std::shared_ptr<support::FdChannel>> channels_;
-  std::vector<std::thread> session_threads_;
-};
-
-/// Thread-safe sink for the cluster's merged stream.
-struct Collector {
-  std::mutex mutex;
-  std::vector<std::string> lines;
-  EmitFn fn() {
-    return [this](const std::string& line, bool) {
-      const std::scoped_lock lock(mutex);
-      lines.push_back(line);
-    };
-  }
-  std::vector<std::string> snapshot() {
-    const std::scoped_lock lock(mutex);
-    return lines;
-  }
-};
-
-std::string kind_of(const std::string& line) {
-  const auto event = json::JsonValue::parse(line);
-  return event ? event->get_string("event") : "";
-}
-
 /// The must-deliver subset, sorted — progress ticks are droppable (and
 /// count-nondeterministic), everything else must arrive exactly once.
 /// Sorting removes interleaving: every line is unique per (circuit, kind,
@@ -169,22 +64,6 @@ std::vector<std::string> must_deliver_sorted(
     if (kinds.contains(kind_of(line))) out.push_back(line);
   std::sort(out.begin(), out.end());
   return out;
-}
-
-/// Runs `input` through a direct pipe-mode session (no cluster) and
-/// returns the raw emitted lines — the golden stream.
-std::vector<std::string> direct_stream(core::JobService& service,
-                                       const std::string& input) {
-  std::istringstream in(input);
-  std::ostringstream out;
-  support::StreamChannel channel(in, out);
-  core::JobProtocolSession session(service, channel, {});
-  (void)session.run();
-  std::vector<std::string> lines;
-  std::istringstream split(out.str());
-  std::string line;
-  while (std::getline(split, line)) lines.push_back(line);
-  return lines;
 }
 
 /// Picks `count` distinct loadable specs whose ring owner is (or is not,
@@ -264,8 +143,7 @@ TEST(ClusterClient, MergedStreamIsByteIdenticalToDirectServer) {
     request.methods = methods;
     request.seed = 42;
     const auto sweep = client.submit_sweep(request, merged.fn());
-    sweep->wait();
-    EXPECT_TRUE(sweep->finished());
+    merged.wait_done();
   }
 
   // Every shard was submitted exactly once, somewhere on the ring.
@@ -324,7 +202,7 @@ TEST(ClusterClient, ConnectRefusedFailsOverToRingSuccessor) {
     request.methods = methods;
     request.seeds.assign(circuits.size(), seed);
     const auto sweep = client.submit_sweep(request, merged.fn());
-    sweep->wait();
+    merged.wait_done();
   }
 
   core::JobServiceConfig config;
@@ -394,7 +272,7 @@ TEST(ClusterClient, BackendKilledAfterAcceptedBeforeFirstRowRecovers) {
 
     victim.kill();
     gate.release();  // let the orphaned backend jobs drain harmlessly
-    sweep->wait();
+    merged.wait_done();
   }
 
   core::JobServiceConfig config;
@@ -436,7 +314,7 @@ TEST(ClusterClient, ExhaustedRetriesSynthesizeFailedTerminals) {
   request.id = "x";
   request.circuits = {"ca", "cb"};
   const auto sweep = client.submit_sweep(request, merged.fn());
-  sweep->wait();
+  merged.wait_done();
 
   const auto lines = merged.snapshot();
   std::size_t failed = 0;
@@ -466,7 +344,8 @@ TEST(ClusterClient, StatsAndPingAggregateAcrossBackends) {
   request.id = "s";
   request.circuits = {"ca", "cb", "cc"};
   request.methods = {"standard"};
-  client.submit_sweep(request, merged.fn())->wait();
+  const auto sweep = client.submit_sweep(request, merged.fn());
+  merged.wait_done();
 
   const auto stats = json::JsonValue::parse(client.stats_line());
   ASSERT_TRUE(stats.has_value());
@@ -484,7 +363,7 @@ TEST(ClusterClient, StatsAndPingAggregateAcrossBackends) {
   for (const auto& entry : per_backend->items())
     EXPECT_TRUE(entry.get_bool("alive", false));
 
-  const auto pong = json::JsonValue::parse(client.ping_line());
+  const auto pong = json::JsonValue::parse(client.ping_line(""));
   ASSERT_TRUE(pong.has_value());
   EXPECT_EQ(pong->get_string("event"), "pong");
   EXPECT_EQ(pong->get_u64("protocol"), 1u);
@@ -505,7 +384,7 @@ TEST(ClusterClient, PingReportsDeadBackends) {
   options.stats_timeout_ms = 500;
   ClusterClient client({dead, live.endpoint()},
                        lib::library_fingerprint(library), options);
-  const auto pong = json::JsonValue::parse(client.ping_line());
+  const auto pong = json::JsonValue::parse(client.ping_line(""));
   ASSERT_TRUE(pong.has_value());
   EXPECT_EQ(pong->get_u64("backends"), 2u);
   EXPECT_EQ(pong->get_u64("backends_alive"), 1u);
@@ -574,7 +453,8 @@ TEST(ClusterClient, HeartbeatOpensBreakerAndHalfOpenReadmits) {
   request.circuits = {"ca", "cb", "cc", "cd"};
   request.methods = {"standard"};
   request.seed = 7;
-  client.submit_sweep(request, merged.fn())->wait();
+  const auto sweep = client.submit_sweep(request, merged.fn());
+  merged.wait_done();
   std::size_t verdicts = 0;
   for (const auto& line : merged.snapshot()) {
     const auto event = json::JsonValue::parse(line);

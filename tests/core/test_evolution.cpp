@@ -91,20 +91,23 @@ TEST(Evolution, OnGenerationTicksLiveWithoutChangingTheRun) {
   std::size_t ticks = 0;
   std::size_t last_generation = 0;
   std::size_t last_evaluations = 0;
+  part::Fitness last_best;
   request.on_progress = [&](const OptimizerProgress& g) {
     ++ticks;
-    if (g.iteration == last_generation) return;  // the final report
     EXPECT_EQ(g.iteration, last_generation + 1);  // every generation, in order
     EXPECT_GT(g.evaluations, last_evaluations);   // cumulative counter
     last_generation = g.iteration;
     last_evaluations = g.evaluations;
+    last_best = g.best;
   };
   const auto result = run_evolution(request, f.quick_params());
 
-  // The observer saw every generation plus the final report and never
-  // perturbed the search.
-  EXPECT_EQ(ticks, result.iterations + 1);
+  // The observer saw every generation once — the last tick carries the
+  // outcome's totals — and never perturbed the search.
+  EXPECT_EQ(ticks, result.iterations);
+  EXPECT_EQ(last_generation, result.iterations);
   EXPECT_EQ(last_evaluations, result.evaluations);
+  EXPECT_EQ(last_best.cost, result.fitness.cost);
   EXPECT_EQ(result.partition, expected.partition);
   EXPECT_EQ(result.fitness.cost, expected.fitness.cost);
   EXPECT_EQ(result.evaluations, expected.evaluations);

@@ -338,12 +338,13 @@ class AfterSweepDoneChannel final : public support::LineChannel {
   std::vector<std::string> written_;
 };
 
-/// Polls until the session has released every job (its finishing sink
-/// drops them just after posting sweep_done); false after 10 s.
+/// Polls until the session has released every sweep (it drops a sweep's
+/// handle, and the jobs with it, as it posts sweep_done); false after
+/// 10 s.
 bool wait_until_untracked(JobProtocolSession& session) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (session.tracked_jobs() != 0) {
+  while (session.tracked_sweeps() != 0) {
     if (std::chrono::steady_clock::now() > deadline) return false;
     std::this_thread::yield();
   }
@@ -370,7 +371,7 @@ TEST(JobProtocol, FinishedSweepReleasesItsJobsAndIgnoresCancel) {
   (void)session.run();
 
   EXPECT_EQ(released, (std::vector<bool>{true, true}));
-  EXPECT_EQ(session.tracked_jobs(), 0u);
+  EXPECT_EQ(session.tracked_sweeps(), 0u);
   const auto events = channel.events();
   EXPECT_EQ(events_of_kind(events, "error").size(), 0u);
   const auto sweep_done = events_of_kind(events, "sweep_done");

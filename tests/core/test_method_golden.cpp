@@ -125,7 +125,6 @@ TEST(MethodGolden, Evolution) {
             "evolution:7/172/0x1.f35a50b0db408p+11 "
             "evolution:8/196/0x1.ed382eb60d91bp+11 "
             "evolution:9/220/0x1.eaa8d8e953488p+11 "
-            "evolution:10/244/0x1.ea9d5e5808a89p+11 "
             "evolution:10/244/0x1.ea9d5e5808a89p+11");
 }
 
@@ -192,8 +191,32 @@ TEST(MethodGolden, EvolutionThenGreedy) {
             "evolution:8/196/0x1.ed382eb60d91bp+11 "
             "evolution:9/220/0x1.eaa8d8e953488p+11 "
             "evolution:10/244/0x1.ea9d5e5808a89p+11 "
-            "evolution:10/244/0x1.ea9d5e5808a89p+11 "
-            "greedy:142/1387/0x1.9b2eaaf37d1ap+11");
+            "greedy:152/1631/0x1.9b2eaaf37d1ap+11");
+}
+
+TEST(MethodGolden, PipelineTicksRiseToTheOutcomeTotals) {
+  // A `+` pipeline's stages count on from what the earlier stages spent:
+  // iteration and evaluation ticks never fall, and the last tick is the
+  // outcome's totals.
+  const Fixture f;
+  std::vector<OptimizerProgress> ticks;
+  OptimizerRequest request;
+  request.ctx = &f.ctx;
+  request.module_count = 4;
+  request.seed = 42;
+  request.on_progress = [&ticks](const OptimizerProgress& p) {
+    ticks.push_back(p);
+  };
+  const auto outcome = OptimizerRegistry::global()
+                           .make("evolution+greedy", golden_config())
+                           ->run(request);
+  ASSERT_FALSE(ticks.empty());
+  for (std::size_t i = 1; i < ticks.size(); ++i) {
+    EXPECT_GE(ticks[i].iteration, ticks[i - 1].iteration) << i;
+    EXPECT_GE(ticks[i].evaluations, ticks[i - 1].evaluations) << i;
+  }
+  EXPECT_EQ(ticks.back().iteration, outcome.iterations);
+  EXPECT_EQ(ticks.back().evaluations, outcome.evaluations);
 }
 
 TEST(MethodGolden, PortfolioEvolutionAnnealing) {
@@ -211,7 +234,6 @@ TEST(MethodGolden, PortfolioEvolutionAnnealing) {
             "evolution:7/172/0x1.d1df3d84ad8b6p+11 "
             "evolution:8/196/0x1.ce5924a5054a1p+11 "
             "evolution:9/220/0x1.c5d5cbaf7c2a6p+11 "
-            "evolution:10/244/0x1.c4d9f9af9147p+11 "
             "evolution:10/244/0x1.c4d9f9af9147p+11 "
             "annealing:1000/1001/0x1.a909affec0f9ep+11 "
             "annealing:2000/2001/0x1.7a8f3770e9048p+11 "

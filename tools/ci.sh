@@ -12,15 +12,17 @@
 #
 #   $ tools/ci.sh threads [build-dir]  default build dir: build-ci
 #
-# ThreadSanitizer leg: rebuild the support + core test binaries with
-# -fsanitize=thread and run the parallelism-relevant suites (executor,
-# optimizers, job queue/service/protocol) threaded.
+# ThreadSanitizer leg: rebuild the support, core and cluster test binaries
+# with -fsanitize=thread and run the parallelism-relevant suites (executor,
+# optimizers, job queue/service/protocol, the cluster client's reader and
+# heartbeat threads and the front-end's sessions) threaded.
 #
 #   $ tools/ci.sh tsan [build-dir]     default build dir: build-tsan
 #
-# AddressSanitizer + UBSan leg: rebuild the partition, estimators and
-# core test binaries plus the job server with -fsanitize=address,undefined,
-# run the evaluator/optimizer/job suites, then the docs/server.md worked
+# AddressSanitizer + UBSan leg: rebuild the partition, estimators, core
+# and cluster test binaries plus the job server with
+# -fsanitize=address,undefined, run the evaluator/optimizer/job/cluster
+# suites, then the docs/server.md worked
 # --pipe session on c17 + mult4 with leak detection on. Any report (leak,
 # overflow, UB) fails the leg; there is no suppression file.
 #
@@ -81,8 +83,9 @@
 # front-end. The sweep's surviving rows must diff byte-identical against
 # the direct engine; a --deadline-ms 1 submit must fail with a timeout;
 # the aggregated stats books must balance (submitted == completed +
-# failed + cancelled, timeouts >= 1); and a SIGTERM'd server must drain
-# gracefully within its --drain-timeout-ms bound.
+# failed + cancelled, timeouts >= 1); and a SIGTERM'd server, then a
+# SIGTERM'd front-end, must drain gracefully: finish or cancel in-flight
+# work, say bye, and exit on their own.
 #
 #   $ tools/ci.sh chaos [build-dir]    default build dir: build-chaos
 set -eu
@@ -459,7 +462,36 @@ PYEOF
   wait "$DRAIN_CLIENT" 2>/dev/null || true
   grep -q "drained" "$BUILD_DIR/chaos_drain.err"
 
-  kill $PIDS $CLUSTER_PID 2>/dev/null || true
+  # The front-end drains the same way: SIGTERM it mid-sweep (a sweep of
+  # its own, on the surviving backends) and it must stop accepting, let
+  # the sweep reach sweep_done, say bye, and exit on its own.
+  RC=0
+  timeout 600 "$BUILD_DIR/iddqsyn" --submit "127.0.0.1:$CPORT" \
+    --method "$METHODS" --seed 31337 c1908 c2670 ila24x6 \
+    > "$BUILD_DIR/chaos_front_drain_client.txt" 2>&1 &
+  DRAIN_CLIENT=$!
+  sleep 1
+  kill -TERM "$CLUSTER_PID"
+  j=0
+  while kill -0 "$CLUSTER_PID" 2>/dev/null; do
+    if [ $j -ge 3000 ]; then
+      echo "chaos: drained front-end never exited"
+      exit 1
+    fi
+    sleep 0.1
+    j=$((j + 1))
+  done
+  wait "$CLUSTER_PID" 2>/dev/null || RC=$?
+  [ "$RC" -eq 0 ] || { echo "chaos: drained front-end exited $RC"; exit 1; }
+  wait "$DRAIN_CLIENT" || {
+    echo "chaos: front-end drain client failed"
+    cat "$BUILD_DIR/chaos_front_drain_client.txt"
+    exit 1
+  }
+  grep -q "drained" "$BUILD_DIR/chaos_front.err"
+  CLUSTER_PID=""
+
+  kill $PIDS 2>/dev/null || true
   trap - EXIT INT TERM
   echo "chaos OK"
   exit 0
@@ -473,17 +505,21 @@ if [ "$MODE" = "tsan" ]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build "$BUILD_DIR" -j "$JOBS" \
-    --target iddq_tests_support iddq_tests_partition iddq_tests_core
+    --target iddq_tests_support iddq_tests_partition iddq_tests_core \
+    iddq_tests_cluster
   # The parallelism surface: executor pool, TCP transport, evaluator
   # copies sharing module profiles across workers, the parallel
   # optimizers and their invariance pins, the job queue/service/protocol
-  # stack, and the per-session event writer + fault-injection layer.
+  # stack, the per-session event writer + fault-injection layer, and the
+  # cluster client's reader/heartbeat threads under front-end sessions.
   IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_support" \
     --gtest_filter='Executor.*:Transport.*'
   IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_partition" \
     --gtest_filter='SharedProfiles.*'
   IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_core" \
     --gtest_filter='ParallelInvariance.*:Evolution.*:Tabu.*:Portfolio.*:JobQueue.*:JobService.*:JobProtocol.*:EventWriter.*:FaultInjection.*'
+  IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_cluster" \
+    --gtest_filter='ClusterClient.*:ClusterSession.*'
   echo "tsan OK"
   exit 0
 fi
@@ -497,7 +533,7 @@ if [ "$MODE" = "asan" ]; then
     -DCMAKE_CXX_FLAGS="$SAN" \
     -DCMAKE_EXE_LINKER_FLAGS="$SAN"
   cmake --build "$BUILD_DIR" -j "$JOBS" --target iddq_tests_partition \
-    iddq_tests_estimators iddq_tests_core iddqsyn_server
+    iddq_tests_estimators iddq_tests_core iddq_tests_cluster iddqsyn_server
   ASAN_OPTIONS=detect_leaks=1:halt_on_error=1
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   export ASAN_OPTIONS UBSAN_OPTIONS
@@ -507,6 +543,8 @@ if [ "$MODE" = "asan" ]; then
     --gtest_filter='IncrementalTiming.*:CurrentProfile.*'
   IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_core" \
     --gtest_filter='Evolution.*:Tabu.*:Portfolio.*:JobService.*:JobProtocol.*'
+  IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_cluster" \
+    --gtest_filter='ClusterClient.*:ClusterSession.*'
   # The docs/server.md worked session, on two circuits: every job's
   # state must be freed by the time the server exits.
   OUT="$BUILD_DIR/asan_pipe_out.txt"

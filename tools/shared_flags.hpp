@@ -4,15 +4,18 @@
 //  * EngineFlags: the flow settings of iddqsyn and iddqsyn_server — the
 //    paper's rail limit r, discriminability d and ES budget, the library,
 //    coverage grading, the result cache and the intra-run thread pool.
-//  * ServeFlags: how iddqsyn_server and iddqsyn_cluster accept sessions.
+//  * ServeFlags: how iddqsyn_server and iddqsyn_cluster accept sessions,
+//    and the serving itself.
 #pragma once
 
 #include <cstddef>
+#include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
 
 #include "core/flow_engine.hpp"
+#include "core/job_protocol.hpp"
 #include "core/result_cache.hpp"
 #include "library/cell_library.hpp"
 #include "library/lib_io.hpp"
@@ -130,15 +133,35 @@ struct ServeFlags {
               session_queue);
   }
 
-  /// The listener the flags select; nullptr in pipe mode.
-  [[nodiscard]] std::unique_ptr<support::SocketListener> open_listener()
-      const {
+  /// Serves the protocol with sessions over `backend` (a JobService or a
+  /// ClusterClient): one session on stdin/stdout in pipe mode, else the
+  /// accept loop on the selected listener, drained by a client's shutdown
+  /// op or SIGTERM. Returns the exit code.
+  template <typename Backend>
+  int serve(const char* tool, Backend& backend,
+            core::JobProtocolOptions options) const {
+    options.session_queue = session_queue;
+    std::unique_ptr<support::SocketListener> listener;
     if (listen)
-      return std::make_unique<support::TcpSocketListener>(listen->first,
-                                                          listen->second);
-    if (socket_path)
-      return std::make_unique<support::UnixSocketListener>(*socket_path);
-    return nullptr;
+      listener = std::make_unique<support::TcpSocketListener>(
+          listen->first, listen->second);
+    else if (socket_path)
+      listener = std::make_unique<support::UnixSocketListener>(*socket_path);
+    if (listener == nullptr) {
+      support::StreamChannel channel(std::cin, std::cout);
+      (void)core::JobProtocolSession(backend, channel, options).run();
+      return 0;
+    }
+    // Tests (and `--listen host:0` deployments) parse the endpoint — which
+    // carries the kernel-assigned port — from this line.
+    std::cerr << tool << ": listening on " << listener->endpoint() << "\n";
+    core::ProtocolServer server(*listener, backend, options);
+    server.drain_on_sigterm();
+    std::cerr << tool << ": "
+              << (server.serve() ? "shutdown requested by client"
+                                 : "drained (signal or listener closed)")
+              << "\n";
+    return 0;
   }
 };
 
