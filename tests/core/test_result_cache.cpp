@@ -99,6 +99,73 @@ TEST(ResultCacheSerialization, RejectsMalformedLines) {
   EXPECT_TRUE(ResultCache::parse(good, key, out));
 }
 
+// The results.jsonl line format is a compatibility contract: directories
+// written by older builds must keep loading, so the bytes are pinned.
+TEST(ResultCacheSerialization, PinsLineBytes) {
+  EXPECT_EQ(ResultCache::serialize(0xDEADBEEF12345678ull, sample_record()),
+            "{\"key\":\"deadbeef12345678\",\"method\":\"evolution+greedy\","
+            "\"gates\":9,\"violation\":0,\"cost\":3307.1927303185653,"
+            "\"c\":[11.608089185189689,0.031854938377842958,"
+            "3.2958368660043291,3.9302530015577775,1],\"iters\":10,"
+            "\"evals\":728,\"modules\":[[3,5,4],[6,7],[8]]}");
+
+  CacheRecord coverage = sample_record();
+  coverage.method = "portfolio:evolution,annealing";
+  coverage.fitness.violation = 0.25;
+  coverage.has_coverage = true;
+  coverage.faults_total = 240;
+  coverage.faults_detected = 181;
+  coverage.patterns_used = 256;
+  coverage.patterns_minimized = 19;
+  EXPECT_EQ(ResultCache::serialize(0x00000000000000A1ull, coverage),
+            "{\"key\":\"00000000000000a1\","
+            "\"method\":\"portfolio:evolution,annealing\",\"gates\":9,"
+            "\"violation\":0.25,\"cost\":3307.1927303185653,"
+            "\"c\":[11.608089185189689,0.031854938377842958,"
+            "3.2958368660043291,3.9302530015577775,1],\"iters\":10,"
+            "\"evals\":728,\"cov\":[240,181,256,19],"
+            "\"modules\":[[3,5,4],[6,7],[8]]}");
+}
+
+TEST(ResultCacheSerialization, RejectsEveryMalformedLine) {
+  const std::string good =
+      "{\"key\":\"00000000000000a1\",\"method\":\"random\",\"gates\":3,"
+      "\"violation\":0,\"cost\":1.5,\"c\":[1,2,3,4,5],\"iters\":1,"
+      "\"evals\":2,\"modules\":[[1,2]]}";
+  std::uint64_t key = 0;
+  CacheRecord out;
+  ASSERT_TRUE(ResultCache::parse(good, key, out));
+  EXPECT_EQ(key, 0xA1u);
+  EXPECT_EQ(out.modules, (std::vector<std::vector<netlist::GateId>>{{1, 2}}));
+
+  const auto with = [&good](std::string_view from, std::string_view to) {
+    std::string line = good;
+    const auto at = line.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return line.replace(at, from.size(), to);
+  };
+  const std::string bad[] = {
+      good.substr(0, good.size() - 1),           // truncated: no '}'
+      good.substr(0, good.find("\"modules\"")),  // truncated mid-object
+      with("\"iters\"", "\"extra\":1,\"iters\""),  // unknown field
+      with(",\"modules\":[[1,2]]", ""),          // no modules
+      with("\"modules\":[[1,2]]", "\"modules\":[]"),  // no module at all
+      with("{\"key\":\"00000000000000a1\",", "{"),    // no key
+      with("00000000000000a1", "xyz"),           // key not hex
+      with("\"random\"", "\"\""),                // empty method
+      with("\"gates\":3", "\"gates\":0"),        // zero gates
+      with("\"gates\":3", "\"gates\":-3"),       // negative count
+      with("\"gates\":3", "\"gates\":\"3\""),    // wrong type
+      with("[1,2,3,4,5]", "[1,2,3,4]"),          // short cost vector
+      with("[1,2,3,4,5]", "[1,2,3,4,5,6]"),      // long cost vector
+      with("[[1,2]]", "[[1,2.5]]"),              // fractional gate id
+      with("[[1,2]]", "[[1,-2]]"),               // negative gate id
+      with("[[1,2]]", "[[1,2]"),                 // unbalanced brackets
+  };
+  for (const std::string& line : bad)
+    EXPECT_FALSE(ResultCache::parse(line, key, out)) << line;
+}
+
 TEST(ResultCacheSerialization, CoverageFieldsRoundTrip) {
   CacheRecord record = sample_record();
   record.has_coverage = true;
