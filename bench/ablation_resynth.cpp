@@ -82,8 +82,6 @@ int main() {
       "\nreading: retiming against the *partition's* per-module peaks (the\n"
       "quantity the area model charges) shrinks the sized-to-peak bypass\n"
       "switches at zero critical-path cost (delay_margin = 0) -- the\n"
-      "cost-driven synthesis coupling the paper's conclusion proposes.\n"
-      "A global-peak-only retiming (retime_for_iddq) does NOT transfer:\n"
-      "the evolution strategy has already flattened each module's share.\n";
+      "cost-driven synthesis coupling the paper's conclusion proposes.\n";
   return 0;
 }

@@ -74,9 +74,6 @@ class RowMerger {
   [[nodiscard]] const std::string& circuit(std::size_t shard) const {
     return circuits_[shard];
   }
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return circuits_.size();
-  }
 
  private:
   struct ShardState {

@@ -5,236 +5,128 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <utility>
 
 #include "support/error.hpp"
 #include "support/fault_plan.hpp"
 #include "support/hash.hpp"
+#include "support/json.hpp"
 
 namespace iddq::core {
 
 namespace {
 
-void append_u64_hex(std::string& out, std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  out += buf;
+bool read_size(const json::JsonValue& v, std::size_t& out) {
+  std::uint64_t raw = 0;
+  if (!v.as_u64(raw)) return false;
+  out = static_cast<std::size_t>(raw);
+  return true;
 }
-
-// 17 significant digits round-trip any finite IEEE-754 double exactly.
-void append_double(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
-// Minimal cursor over the flat JSON grammar serialize() emits: one object
-// of string/number/array-of-number/array-of-array-of-number values.
-class JsonCursor {
- public:
-  explicit JsonCursor(std::string_view s) : s_(s) {}
-
-  void skip_ws() {
-    while (i_ < s_.size() &&
-           (s_[i_] == ' ' || s_[i_] == '\t' || s_[i_] == '\r'))
-      ++i_;
-  }
-
-  [[nodiscard]] bool consume(char c) {
-    skip_ws();
-    if (i_ >= s_.size() || s_[i_] != c) return false;
-    ++i_;
-    return true;
-  }
-
-  [[nodiscard]] bool peek(char c) {
-    skip_ws();
-    return i_ < s_.size() && s_[i_] == c;
-  }
-
-  [[nodiscard]] bool parse_string(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (i_ < s_.size() && s_[i_] != '"') {
-      char c = s_[i_++];
-      if (c == '\\') {
-        if (i_ >= s_.size()) return false;
-        c = s_[i_++];
-        if (c != '"' && c != '\\') return false;
-      }
-      out += c;
-    }
-    return i_ < s_.size() && s_[i_++] == '"';
-  }
-
-  [[nodiscard]] bool parse_u64(std::uint64_t& out) {
-    skip_ws();
-    const auto* first = s_.data() + i_;
-    const auto* last = s_.data() + s_.size();
-    const auto [ptr, ec] = std::from_chars(first, last, out);
-    if (ec != std::errc{}) return false;
-    i_ += static_cast<std::size_t>(ptr - first);
-    return true;
-  }
-
-  [[nodiscard]] bool parse_double(double& out) {
-    skip_ws();
-    const auto* first = s_.data() + i_;
-    const auto* last = s_.data() + s_.size();
-    const auto [ptr, ec] = std::from_chars(first, last, out);
-    if (ec != std::errc{}) return false;
-    i_ += static_cast<std::size_t>(ptr - first);
-    return true;
-  }
-
-  [[nodiscard]] bool at_object_end() {
-    skip_ws();
-    return i_ < s_.size() && s_[i_] == '}';
-  }
-
- private:
-  std::string_view s_;
-  std::size_t i_ = 0;
-};
 
 }  // namespace
 
 std::string ResultCache::serialize(std::uint64_t key,
                                    const CacheRecord& record) {
-  std::string out;
-  out.reserve(256 + 8 * record.gate_count);
-  out += "{\"key\":\"";
-  append_u64_hex(out, key);
-  out += "\",\"method\":";
-  append_json_string(out, record.method);
-  out += ",\"gates\":";
-  out += std::to_string(record.gate_count);
-  out += ",\"violation\":";
-  append_double(out, record.fitness.violation);
-  out += ",\"cost\":";
-  append_double(out, record.fitness.cost);
-  out += ",\"c\":[";
-  const auto costs = record.costs.as_array();
-  for (std::size_t i = 0; i < costs.size(); ++i) {
-    if (i > 0) out += ',';
-    append_double(out, costs[i]);
-  }
-  out += "],\"iters\":";
-  out += std::to_string(record.iterations);
-  out += ",\"evals\":";
-  out += std::to_string(record.evaluations);
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016" PRIx64, key);
+  json::JsonWriter costs(json::JsonWriter::Kind::Array);
+  for (const double c : record.costs.as_array()) costs.element(c);
+  json::JsonWriter line;
+  line.field("key", std::string_view(hex))
+      .field("method", record.method)
+      .field("gates", std::uint64_t{record.gate_count})
+      .field("violation", record.fitness.violation)
+      .field("cost", record.fitness.cost)
+      .field_raw("c", costs.str())
+      .field("iters", std::uint64_t{record.iterations})
+      .field("evals", std::uint64_t{record.evaluations});
   if (record.has_coverage) {
-    out += ",\"cov\":[";
-    out += std::to_string(record.faults_total);
-    out += ',';
-    out += std::to_string(record.faults_detected);
-    out += ',';
-    out += std::to_string(record.patterns_used);
-    out += ',';
-    out += std::to_string(record.patterns_minimized);
-    out += ']';
+    json::JsonWriter cov(json::JsonWriter::Kind::Array);
+    for (const std::size_t v :
+         {record.faults_total, record.faults_detected, record.patterns_used,
+          record.patterns_minimized})
+      cov.element(std::uint64_t{v});
+    line.field_raw("cov", cov.str());
   }
-  out += ",\"modules\":[";
-  for (std::size_t m = 0; m < record.modules.size(); ++m) {
-    if (m > 0) out += ',';
-    out += '[';
-    for (std::size_t i = 0; i < record.modules[m].size(); ++i) {
-      if (i > 0) out += ',';
-      out += std::to_string(record.modules[m][i]);
-    }
-    out += ']';
+  json::JsonWriter modules(json::JsonWriter::Kind::Array);
+  for (const auto& module : record.modules) {
+    json::JsonWriter gates(json::JsonWriter::Kind::Array);
+    for (const netlist::GateId g : module) gates.element(std::uint64_t{g});
+    modules.element_raw(gates.str());
   }
-  out += "]}";
-  return out;
+  line.field_raw("modules", modules.str());
+  return line.str();
 }
 
 bool ResultCache::parse(std::string_view line, std::uint64_t& key,
                         CacheRecord& out) {
-  JsonCursor cur(line);
   out = CacheRecord{};
+  const auto doc = json::JsonValue::parse(line);
+  if (!doc || !doc->is_object()) return false;
   bool have_key = false;
   bool have_modules = false;
-  if (!cur.consume('{')) return false;
-  while (!cur.at_object_end()) {
-    std::string field;
-    if (!cur.parse_string(field) || !cur.consume(':')) return false;
+  for (const auto& [field, value] : doc->members()) {
     if (field == "key") {
-      std::string hex;
-      if (!cur.parse_string(hex)) return false;
+      if (!value.is_string()) return false;
+      const std::string& hex = value.as_string();
       const auto [ptr, ec] =
           std::from_chars(hex.data(), hex.data() + hex.size(), key, 16);
       if (ec != std::errc{} || ptr != hex.data() + hex.size()) return false;
       have_key = true;
     } else if (field == "method") {
-      if (!cur.parse_string(out.method)) return false;
+      if (!value.is_string()) return false;
+      out.method = value.as_string();
     } else if (field == "gates") {
-      std::uint64_t v = 0;
-      if (!cur.parse_u64(v)) return false;
-      out.gate_count = static_cast<std::size_t>(v);
+      if (!read_size(value, out.gate_count)) return false;
     } else if (field == "violation") {
-      if (!cur.parse_double(out.fitness.violation)) return false;
+      if (!value.as_double(out.fitness.violation)) return false;
     } else if (field == "cost") {
-      if (!cur.parse_double(out.fitness.cost)) return false;
+      if (!value.as_double(out.fitness.cost)) return false;
     } else if (field == "c") {
-      if (!cur.consume('[')) return false;
-      double* terms[] = {&out.costs.c1, &out.costs.c2, &out.costs.c3,
-                         &out.costs.c4, &out.costs.c5};
-      for (std::size_t i = 0; i < 5; ++i) {
-        if (i > 0 && !cur.consume(',')) return false;
-        if (!cur.parse_double(*terms[i])) return false;
-      }
-      if (!cur.consume(']')) return false;
+      double* const terms[] = {&out.costs.c1, &out.costs.c2, &out.costs.c3,
+                               &out.costs.c4, &out.costs.c5};
+      if (!value.is_array() || value.items().size() != std::size(terms))
+        return false;
+      for (std::size_t i = 0; i < std::size(terms); ++i)
+        if (!value.items()[i].as_double(*terms[i])) return false;
     } else if (field == "iters") {
-      std::uint64_t v = 0;
-      if (!cur.parse_u64(v)) return false;
-      out.iterations = static_cast<std::size_t>(v);
+      if (!read_size(value, out.iterations)) return false;
     } else if (field == "evals") {
-      std::uint64_t v = 0;
-      if (!cur.parse_u64(v)) return false;
-      out.evaluations = static_cast<std::size_t>(v);
+      if (!read_size(value, out.evaluations)) return false;
     } else if (field == "cov") {
-      if (!cur.consume('[')) return false;
-      std::size_t* terms[] = {&out.faults_total, &out.faults_detected,
-                              &out.patterns_used, &out.patterns_minimized};
-      for (std::size_t i = 0; i < 4; ++i) {
-        if (i > 0 && !cur.consume(',')) return false;
-        std::uint64_t v = 0;
-        if (!cur.parse_u64(v)) return false;
-        *terms[i] = static_cast<std::size_t>(v);
-      }
-      if (!cur.consume(']')) return false;
+      std::size_t* const terms[] = {&out.faults_total, &out.faults_detected,
+                                    &out.patterns_used,
+                                    &out.patterns_minimized};
+      if (!value.is_array() || value.items().size() != std::size(terms))
+        return false;
+      for (std::size_t i = 0; i < std::size(terms); ++i)
+        if (!read_size(value.items()[i], *terms[i])) return false;
       out.has_coverage = true;
     } else if (field == "modules") {
-      if (!cur.consume('[')) return false;
-      while (!cur.peek(']')) {
-        if (!out.modules.empty() && !cur.consume(',')) return false;
-        if (!cur.consume('[')) return false;
-        std::vector<netlist::GateId>& module = out.modules.emplace_back();
-        while (!cur.peek(']')) {
-          if (!module.empty() && !cur.consume(',')) return false;
-          std::uint64_t v = 0;
-          if (!cur.parse_u64(v)) return false;
-          module.push_back(static_cast<netlist::GateId>(v));
+      if (!value.is_array()) return false;
+      out.modules.clear();
+      out.modules.reserve(value.items().size());
+      for (const json::JsonValue& gates : value.items()) {
+        if (!gates.is_array()) return false;
+        auto& module = out.modules.emplace_back();
+        module.reserve(gates.items().size());
+        for (const json::JsonValue& gate : gates.items()) {
+          // A gate id past GateId's range is a corrupt line, not a
+          // different (truncated) gate.
+          std::uint64_t id = 0;
+          if (!gate.as_u64(id) ||
+              id > std::numeric_limits<netlist::GateId>::max())
+            return false;
+          module.push_back(static_cast<netlist::GateId>(id));
         }
-        if (!cur.consume(']')) return false;
       }
-      if (!cur.consume(']')) return false;
       have_modules = true;
     } else {
       return false;  // unknown field: not one of our lines
     }
-    if (!cur.consume(',')) break;
   }
-  if (!cur.consume('}')) return false;
   return have_key && have_modules && !out.method.empty() &&
          out.gate_count > 0 && !out.modules.empty();
 }
@@ -281,19 +173,19 @@ void ResultCache::attach_dir(const std::string& dir) {
     if (!create)
       throw Error("result cache: cannot create '" + file_path_ + "'");
   }
-  evict_over_cap();
+  evict();
 }
 
 void ResultCache::set_max_resident(std::size_t max_resident) {
   const std::scoped_lock lock(mutex_);
   max_resident_ = max_resident;
-  evict_over_cap();
+  evict();
 }
 
 void ResultCache::set_idle_deadline(std::chrono::milliseconds idle) {
   const std::scoped_lock lock(mutex_);
   idle_deadline_ = idle;
-  evict_idle();
+  evict();
 }
 
 void ResultCache::set_clock_for_test(
@@ -306,56 +198,46 @@ std::chrono::steady_clock::time_point ResultCache::now() const {
   return clock_ ? clock_() : std::chrono::steady_clock::now();
 }
 
-// Caller holds mutex_. Moves `key` to the front of the residency list.
+// Caller holds mutex_. Moves `key` to the front of the residency list and
+// stamps it with the current time.
 void ResultCache::touch(std::uint64_t key) const {
-  last_touch_[key] = now();
-  const auto it = lru_pos_.find(key);
-  if (it != lru_pos_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
+  const auto stamp = now();
+  const auto [it, inserted] = lru_pos_.try_emplace(key);
+  if (inserted) {
+    lru_.push_front({key, stamp});
+    it->second = lru_.begin();
     return;
   }
-  lru_.push_front(key);
-  lru_pos_[key] = lru_.begin();
+  it->second->touched = stamp;
+  lru_.splice(lru_.begin(), lru_, it->second);
 }
 
-// Caller holds mutex_. Drops least-recently-used records beyond the cap;
-// their disk offsets keep them reloadable. A memory-only cache never
-// evicts (the record IS the only copy).
-void ResultCache::evict_over_cap() const {
-  if (max_resident_ == 0 || file_path_.empty()) return;
-  while (entries_.size() > max_resident_ && !lru_.empty()) {
-    const std::uint64_t victim = lru_.back();
-    lru_.pop_back();
-    lru_pos_.erase(victim);
-    entries_.erase(victim);
-    last_touch_.erase(victim);
-    ++evictions_;
-  }
-}
-
-// Caller holds mutex_. Expires resident records untouched for the idle
-// deadline. lru_ is recency-ordered, so the scan walks from the back and
-// stops at the first survivor; like evict_over_cap, disk offsets keep the
-// victims reloadable and a memory-only cache never evicts.
-void ResultCache::evict_idle() const {
-  if (idle_deadline_.count() <= 0 || file_path_.empty()) return;
-  const auto cutoff = now() - idle_deadline_;
+// Caller holds mutex_. Drops least-recently-used records while the resident
+// set is over the cap or its oldest record has been idle past the deadline.
+// lru_ is recency-ordered, so the walk from the back stops at the first
+// survivor. Disk offsets keep the victims reloadable; a memory-only cache
+// never evicts (the record IS the only copy).
+void ResultCache::evict() const {
+  if (file_path_.empty()) return;
+  const bool idle_on = idle_deadline_.count() > 0;
+  const auto cutoff = idle_on ? now() - idle_deadline_
+                              : std::chrono::steady_clock::time_point{};
   while (!lru_.empty()) {
-    const std::uint64_t victim = lru_.back();
-    const auto stamp = last_touch_.find(victim);
-    if (stamp != last_touch_.end() && stamp->second > cutoff) break;
+    const bool over_cap = max_resident_ > 0 && entries_.size() > max_resident_;
+    const bool idle = idle_on && lru_.back().touched <= cutoff;
+    if (!over_cap && !idle) break;
+    const std::uint64_t victim = lru_.back().key;
     lru_.pop_back();
     lru_pos_.erase(victim);
     entries_.erase(victim);
-    last_touch_.erase(victim);
     ++evictions_;
-    ++idle_evictions_;
+    if (!over_cap) ++idle_evictions_;
   }
 }
 
 std::optional<CacheRecord> ResultCache::lookup(std::uint64_t key) const {
   const std::scoped_lock lock(mutex_);
-  evict_idle();
+  evict();
   const auto it = entries_.find(key);
   if (it != entries_.end()) {
     ++hits_;
@@ -379,7 +261,7 @@ std::optional<CacheRecord> ResultCache::lookup(std::uint64_t key) const {
           ++disk_hits_;
           entries_[key] = record;
           touch(key);
-          evict_over_cap();
+          evict();
           return record;
         }
       }
@@ -391,7 +273,7 @@ std::optional<CacheRecord> ResultCache::lookup(std::uint64_t key) const {
 
 void ResultCache::store(std::uint64_t key, const CacheRecord& record) {
   const std::scoped_lock lock(mutex_);
-  evict_idle();
+  evict();
   entries_[key] = record;
   touch(key);
   if (file_path_.empty()) return;
@@ -416,7 +298,7 @@ void ResultCache::store(std::uint64_t key, const CacheRecord& record) {
   }
   offsets_[key] = static_cast<std::streamoff>(out.tellp());
   out << serialize(key, record) << '\n';
-  evict_over_cap();
+  evict();
 }
 
 std::size_t ResultCache::size() const {
@@ -467,53 +349,60 @@ std::string cache_file_of(const std::string& dir) {
   return (std::filesystem::path(dir) / "results.jsonl").string();
 }
 
-/// Per-line scan shared by inspect and compact: key (when parseable), the
-/// raw line, and its index among non-empty lines.
-struct ScannedLine {
-  std::uint64_t key = 0;
-  bool parsed = false;
-  std::string raw;
+/// One pass over a results.jsonl, shared by inspect and compact: every
+/// non-empty line in file order, and the last write of each parsed key
+/// (the lookup semantics of attach_dir).
+struct CacheFileScan {
+  struct Line {
+    std::uint64_t key = 0;
+    bool parsed = false;
+    std::string raw;
+  };
+  std::vector<Line> lines;
+  std::unordered_map<std::uint64_t, std::size_t> last_write;  // key -> line
+  std::size_t corrupt = 0;
+  std::size_t shadowed = 0;  // parsed lines a later write of the key replaces
+
+  [[nodiscard]] bool survives(std::size_t i) const {
+    return lines[i].parsed && last_write.at(lines[i].key) == i;
+  }
 };
 
-std::vector<ScannedLine> scan_cache_file(const std::string& path) {
+CacheFileScan scan_cache_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw Error("result cache: cannot open '" + path + "'");
-  std::vector<ScannedLine> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    ScannedLine scanned;
+  CacheFileScan scan;
+  std::string raw;
+  while (std::getline(in, raw)) {
+    if (raw.empty()) continue;
+    CacheFileScan::Line line;
     CacheRecord record;
-    scanned.parsed = ResultCache::parse(line, scanned.key, record);
-    scanned.raw = std::move(line);
-    lines.push_back(std::move(scanned));
+    line.parsed = ResultCache::parse(raw, line.key, record);
+    line.raw = std::move(raw);
+    if (!line.parsed) {
+      ++scan.corrupt;
+    } else if (!scan.last_write.insert_or_assign(line.key, scan.lines.size())
+                    .second) {
+      ++scan.shadowed;
+    }
+    scan.lines.push_back(std::move(line));
   }
-  return lines;
+  return scan;
 }
 
 }  // namespace
 
 CacheFileStats inspect_cache_file(const std::string& dir) {
-  const auto lines = scan_cache_file(cache_file_of(dir));
-
+  const CacheFileScan scan = scan_cache_file(cache_file_of(dir));
   CacheFileStats stats;
-  stats.total_lines = lines.size();
-  // Last write per key wins (the lookup semantics of attach_dir).
-  std::unordered_map<std::uint64_t, std::size_t> last_index;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (!lines[i].parsed) {
-      ++stats.corrupt_lines;
-      continue;
-    }
-    const auto [it, inserted] = last_index.insert_or_assign(lines[i].key, i);
-    (void)it;
-    if (!inserted) ++stats.duplicate_lines;
-  }
-  stats.unique_keys = last_index.size();
-  for (const auto& [key, index] : last_index) {
+  stats.total_lines = scan.lines.size();
+  stats.corrupt_lines = scan.corrupt;
+  stats.duplicate_lines = scan.shadowed;
+  stats.unique_keys = scan.last_write.size();
+  for (const auto& [key, index] : scan.last_write) {
     (void)key;
     // Age 1 = the file's last line. Bucket by floor(log2(age)).
-    const std::size_t age = lines.size() - index;
+    const std::size_t age = scan.lines.size() - index;
     std::size_t bucket = 0;
     while ((std::size_t{2} << bucket) <= age) ++bucket;
     if (stats.age_histogram.size() <= bucket)
@@ -525,19 +414,10 @@ CacheFileStats inspect_cache_file(const std::string& dir) {
 
 CacheCompaction compact_cache_file(const std::string& dir) {
   const std::string path = cache_file_of(dir);
-  const auto lines = scan_cache_file(path);
-
+  const CacheFileScan scan = scan_cache_file(path);
   CacheCompaction result;
-  std::unordered_map<std::uint64_t, std::size_t> last_index;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (!lines[i].parsed) {
-      ++result.dropped_corrupt;
-      continue;
-    }
-    const auto [it, inserted] = last_index.insert_or_assign(lines[i].key, i);
-    (void)it;
-    if (!inserted) ++result.dropped_duplicates;
-  }
+  result.dropped_corrupt = scan.corrupt;
+  result.dropped_duplicates = scan.shadowed;
 
   // Keep the surviving lines in their original (last-write) file order so
   // a compacted file replays identically, then swap in atomically.
@@ -546,9 +426,9 @@ CacheCompaction compact_cache_file(const std::string& dir) {
     std::ofstream out(tmp_path, std::ios::trunc);
     if (!out)
       throw Error("result cache: cannot write '" + tmp_path + "'");
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      if (!lines[i].parsed || last_index.at(lines[i].key) != i) continue;
-      out << lines[i].raw << '\n';
+    for (std::size_t i = 0; i < scan.lines.size(); ++i) {
+      if (!scan.survives(i)) continue;
+      out << scan.lines[i].raw << '\n';
       ++result.kept;
     }
     if (!out)

@@ -130,20 +130,22 @@ class ResultCache {
   /// corrupted sweep directory is visible instead of just slow.
   [[nodiscard]] std::size_t corrupt_lines() const;
 
-  /// One JSON line (no trailing newline). Doubles are written with 17
-  /// significant digits, which round-trips IEEE-754 exactly.
+  /// One JSON line (no trailing newline), written with support/json's
+  /// JsonWriter: doubles carry 17 significant digits, which round-trips
+  /// IEEE-754 exactly.
   [[nodiscard]] static std::string serialize(std::uint64_t key,
                                              const CacheRecord& record);
 
-  /// Parses a line produced by serialize (any key order is accepted).
-  /// Returns false on malformed input.
+  /// Parses a line produced by serialize through support/json (any key
+  /// order is accepted). Returns false on malformed input: bad JSON,
+  /// trailing bytes, an unknown field, a missing key or modules, an empty
+  /// method, zero gates, or a gate id past the GateId range.
   [[nodiscard]] static bool parse(std::string_view line, std::uint64_t& key,
                                   CacheRecord& out);
 
  private:
   void touch(std::uint64_t key) const;
-  void evict_over_cap() const;
-  void evict_idle() const;
+  void evict() const;
   [[nodiscard]] std::chrono::steady_clock::time_point now() const;
 
   mutable std::mutex mutex_;
@@ -152,17 +154,17 @@ class ResultCache {
   /// reload path for evicted entries. Superset of the resident keys while
   /// a directory is attached.
   std::unordered_map<std::uint64_t, std::streamoff> offsets_;
-  /// Resident keys, most recently used first.
-  mutable std::list<std::uint64_t> lru_;
-  mutable std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
+  /// Resident keys with their last-touch time, most recently used first
+  /// (touch order == recency order, so idle expiry walks from the back).
+  struct Touched {
+    std::uint64_t key;
+    std::chrono::steady_clock::time_point touched;
+  };
+  mutable std::list<Touched> lru_;
+  mutable std::unordered_map<std::uint64_t, std::list<Touched>::iterator>
       lru_pos_;
   std::size_t max_resident_ = 0;  // 0 = unbounded
-  /// Idle deadline; 0 = disabled. Last-touch stamps ride the LRU order
-  /// (touch order == recency order), so expiry scans from lru_.back().
-  std::chrono::milliseconds idle_deadline_{0};
-  mutable std::unordered_map<std::uint64_t,
-                             std::chrono::steady_clock::time_point>
-      last_touch_;
+  std::chrono::milliseconds idle_deadline_{0};  // 0 = disabled
   std::function<std::chrono::steady_clock::time_point()> clock_;
   std::string file_path_;  // empty = in-memory only
   mutable std::uint64_t hits_ = 0;

@@ -6,65 +6,6 @@
 
 namespace iddq::elec {
 
-namespace {
-
-struct State {
-  double v_out;
-  double v_rail;
-};
-
-State derivative(const DelayModelInput& in, const State& s) {
-  const double a = 1.0 / (in.rg_kohm * in.cg_ff);
-  const double b = static_cast<double>(in.n) / (in.rg_kohm * in.cs_ff);
-  const double c = 1.0 / (in.rs_kohm * in.cs_ff);
-  return State{a * (s.v_rail - s.v_out),
-               b * (s.v_out - s.v_rail) - c * s.v_rail};
-}
-
-}  // namespace
-
-std::vector<TransientSample> simulate_discharge(const DelayModelInput& in,
-                                                double vdd_mv, double dt_ps,
-                                                std::size_t steps) {
-  require(in.cs_ff > 0.0 && in.rs_kohm > 0.0,
-          "simulate_discharge: needs Cs > 0 and Rs > 0 (use the analytic "
-          "model for the degenerate cases)");
-  require(dt_ps > 0.0 && steps > 0, "simulate_discharge: bad step parameters");
-  std::vector<TransientSample> out;
-  out.reserve(steps + 1);
-  State s{vdd_mv, 0.0};
-  out.push_back({0.0, s.v_out, s.v_rail});
-  for (std::size_t i = 1; i <= steps; ++i) {
-    const State k1 = derivative(in, s);
-    const State s2{s.v_out + 0.5 * dt_ps * k1.v_out,
-                   s.v_rail + 0.5 * dt_ps * k1.v_rail};
-    const State k2 = derivative(in, s2);
-    const State s3{s.v_out + 0.5 * dt_ps * k2.v_out,
-                   s.v_rail + 0.5 * dt_ps * k2.v_rail};
-    const State k3 = derivative(in, s3);
-    const State s4{s.v_out + dt_ps * k3.v_out, s.v_rail + dt_ps * k3.v_rail};
-    const State k4 = derivative(in, s4);
-    s.v_out += dt_ps / 6.0 *
-               (k1.v_out + 2.0 * k2.v_out + 2.0 * k3.v_out + k4.v_out);
-    s.v_rail += dt_ps / 6.0 *
-                (k1.v_rail + 2.0 * k2.v_rail + 2.0 * k3.v_rail + k4.v_rail);
-    out.push_back({static_cast<double>(i) * dt_ps, s.v_out, s.v_rail});
-  }
-  return out;
-}
-
-double crossing_time_ps(const std::vector<TransientSample>& tr,
-                        double level_mv) {
-  for (std::size_t i = 1; i < tr.size(); ++i) {
-    if (tr[i].v_out_mv <= level_mv && tr[i - 1].v_out_mv > level_mv) {
-      const double frac = (tr[i - 1].v_out_mv - level_mv) /
-                          (tr[i - 1].v_out_mv - tr[i].v_out_mv);
-      return tr[i - 1].t_ps + frac * (tr[i].t_ps - tr[i - 1].t_ps);
-    }
-  }
-  return -1.0;
-}
-
 double simulate_decay_time_ps(double i0_ua, double i_th_ua, double tau_ps,
                               double dt_ps) {
   require(tau_ps > 0.0 && dt_ps > 0.0, "simulate_decay: bad time constants");

@@ -1,36 +1,12 @@
-// Small fixed-step RK4 integrator for the electrical cross-checks.
+// Fixed-step RK4 integration of the quiescent current decay.
 //
 // Plays the role SPICE plays in the paper: the settling model (settling.hpp)
 // is *calibrated* against transient simulations rather than hard-coding the
-// analytic answer, and the closed-form delay-degradation model is verified
-// against direct integration in the test suite.
+// analytic answer. (The RK4 cross-check of the closed-form delay model
+// lives with the tests, in tests/reference/transient.hpp.)
 #pragma once
 
-#include <array>
-#include <functional>
-#include <vector>
-
-#include "electrical/delay_model.hpp"
-
 namespace iddq::elec {
-
-/// One RK4 trajectory sample.
-struct TransientSample {
-  double t_ps = 0.0;
-  double v_out_mv = 0.0;
-  double v_rail_mv = 0.0;
-};
-
-/// Integrates the second-order discharge network of delay_model.hpp from
-/// V_out = vdd_mv, V_rail = 0 for `steps` steps of `dt_ps`.
-[[nodiscard]] std::vector<TransientSample> simulate_discharge(
-    const DelayModelInput& in, double vdd_mv, double dt_ps, std::size_t steps);
-
-/// First time at which v_out crosses below `level_mv` (linear interpolation
-/// between samples); returns a negative value when the trajectory never
-/// crosses within the simulated window.
-[[nodiscard]] double crossing_time_ps(const std::vector<TransientSample>& tr,
-                                      double level_mv);
 
 /// Integrates an exponential current decay i' = -i/tau (the quiescent
 /// settling of a module current toward its leakage floor) and returns the

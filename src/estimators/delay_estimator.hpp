@@ -10,12 +10,6 @@
 // treatment of the time-grid functions delta(g, t) — which also makes c2
 // nearly partition-invariant (n_max * R_s self-normalises; see
 // partition/evaluator.cpp).
-//
-// DeltaInterpolator is the cheaper two-anchor alternative (delta evaluated
-// at n = 1 and n = n_max, linear in between; delta is close to affine in n
-// because the rail perturbation scales with n * R_s). It is exposed for
-// clients that need per-gate n resolution, with the interpolation error
-// bounded by tests.
 #pragma once
 
 #include <span>
@@ -35,21 +29,5 @@ namespace iddq::est {
 [[nodiscard]] double degraded_critical_path_ps(
     const netlist::Netlist& nl, std::span<const lib::CellParams> cells,
     std::span<const double> delta);
-
-/// Exact two-anchor interpolation of the second-order delay model in n:
-/// delta(n) ~ delta(1) + (delta(n_max)-delta(1)) * (n-1)/(n_max-1).
-class DeltaInterpolator {
- public:
-  /// Anchors for a (module sensor, cell type) pair.
-  DeltaInterpolator(double rs_kohm, double cs_ff, double cg_ff,
-                    double rg_kohm, std::uint32_t n_max);
-
-  [[nodiscard]] double at(std::uint32_t n) const;
-
- private:
-  double delta1_ = 1.0;
-  double slope_ = 0.0;
-  std::uint32_t n_max_ = 1;
-};
 
 }  // namespace iddq::est

@@ -11,35 +11,14 @@
 //   T_test,0   = N_vec * D
 //   c4         = (T_test,BIC - T_test,0) / T_test,0
 //
-// (the vector count cancels in the ratio; it is kept in the reporting API
-// for absolute times).
+// The vector count cancels in the ratio.
 #pragma once
 
 #include <span>
 
 namespace iddq::est {
 
-struct TestTimeBreakdown {
-  double d_nominal_ps = 0.0;
-  double d_bic_ps = 0.0;
-  double settle_max_ps = 0.0;  // max_i Delta(tau_i)
-  std::size_t vectors = 0;
-
-  /// Absolute test time with BIC sensors, in ps.
-  [[nodiscard]] double total_bic_ps() const {
-    return static_cast<double>(vectors) * (d_bic_ps + settle_max_ps);
-  }
-  /// Absolute test time of plain (off-chip measurement-free) application.
-  [[nodiscard]] double total_nominal_ps() const {
-    return static_cast<double>(vectors) * d_nominal_ps;
-  }
-  /// The c4 overhead ratio.
-  [[nodiscard]] double overhead() const {
-    return (d_bic_ps + settle_max_ps - d_nominal_ps) / d_nominal_ps;
-  }
-};
-
-/// Convenience: c4 from the three time components.
+/// c4 from the three time components.
 [[nodiscard]] double test_time_overhead(double d_nominal_ps, double d_bic_ps,
                                         double settle_max_ps);
 

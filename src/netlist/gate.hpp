@@ -48,12 +48,6 @@ inline constexpr std::size_t kGateKindCount = 9;
   return kind != GateKind::kInput;
 }
 
-/// True when the gate function is an inverting one (NOT/NAND/NOR/XNOR).
-[[nodiscard]] constexpr bool is_inverting(GateKind kind) {
-  return kind == GateKind::kNot || kind == GateKind::kNand ||
-         kind == GateKind::kNor || kind == GateKind::kXnor;
-}
-
 /// A single vertex of the circuit graph.
 struct Gate {
   GateKind kind = GateKind::kInput;
@@ -61,9 +55,6 @@ struct Gate {
   std::vector<GateId> fanins;
   std::vector<GateId> fanouts;
 
-  [[nodiscard]] std::size_t fanin_count() const noexcept {
-    return fanins.size();
-  }
   [[nodiscard]] std::size_t fanout_count() const noexcept {
     return fanouts.size();
   }

@@ -147,6 +147,24 @@ void PartitionEvaluator::mark_dirty(std::uint32_t m) {
   any_dirty_ = true;
 }
 
+// The near-list scan runs on the live module_of (no per-move module_of
+// vector is materialised), so callers must invoke it before reassigning g.
+PartitionEvaluator::SeparationShift PartitionEvaluator::separation_shift(
+    netlist::GateId g, std::uint32_t src, std::uint32_t target) const {
+  const double rho = static_cast<double>(ctx_->oracle.rho());
+  SeparationShift shift{
+      static_cast<double>(partition_.module_size(src) - 1) * rho,
+      static_cast<double>(partition_.module_size(target)) * rho};
+  for (const auto& [neighbor, distance] : ctx_->oracle.near(g)) {
+    const std::uint32_t nm = partition_.module_of(neighbor);
+    if (nm == src)
+      shift.src -= rho - static_cast<double>(distance);
+    else if (nm == target)
+      shift.target -= rho - static_cast<double>(distance);
+  }
+  return shift;
+}
+
 void PartitionEvaluator::move_gate(netlist::GateId g, std::uint32_t target) {
   const std::uint32_t src = partition_.module_of(g);
   IDDQ_ASSERT(src != kUnassigned);
@@ -155,20 +173,10 @@ void PartitionEvaluator::move_gate(netlist::GateId g, std::uint32_t target) {
 
   const auto& cell = ctx_->cells[g];
   // Separation sums are updated while module_of still reflects the old
-  // assignment (g not yet in target, still in src); the near-list scan is
-  // inlined here to avoid materialising a module_of vector per move.
-  const double rho = static_cast<double>(ctx_->oracle.rho());
-  double sum_src = static_cast<double>(partition_.module_size(src) - 1) * rho;
-  double sum_dst = static_cast<double>(partition_.module_size(target)) * rho;
-  for (const auto& [neighbor, distance] : ctx_->oracle.near(g)) {
-    const std::uint32_t nm = partition_.module_of(neighbor);
-    if (nm == src)
-      sum_src -= rho - static_cast<double>(distance);
-    else if (nm == target)
-      sum_dst -= rho - static_cast<double>(distance);
-  }
-  separation_[src] -= sum_src;
-  separation_[target] += sum_dst;
+  // assignment (g not yet in target, still in src).
+  const SeparationShift shift = separation_shift(g, src, target);
+  separation_[src] -= shift.src;
+  separation_[target] += shift.target;
 
   profiles_.writable(src).remove_gate(ctx_->transition_times.at(g),
                                       cell.ipeak_ua);
@@ -279,10 +287,7 @@ void PartitionEvaluator::refresh() {
                         delta_row(m), area_[m], settle_ps_[m]);
     dirty_gates += partition_.module_size(m);
   }
-  const auto factor = [this](netlist::GateId g) {
-    return type_delta_[partition_.module_of(g) * ctx_->type_count +
-                       ctx_->type_of[g]];
-  };
+  const auto factor = [this](netlist::GateId g) { return gate_factor(g); };
   // Dense updates (big mutations touching most gates, or a copied
   // evaluator whose timing state was dropped) take the plain full pass;
   // sparse ones seed the gates of the dirty modules and repropagate only
@@ -353,28 +358,17 @@ MoveProbe PartitionEvaluator::probe_move(netlist::GateId g,
   if (!timing_.valid()) {
     // A fresh copy dropped its arrival state and nothing has dirtied it
     // since; rebuild it (bit-identical to the dropped state).
-    d_bic_ps_ = timing_.rebuild([this](netlist::GateId x) {
-      return type_delta_[partition_.module_of(x) * ctx_->type_count +
-                         ctx_->type_of[x]];
-    });
+    d_bic_ps_ = timing_.rebuild(
+        [this](netlist::GateId x) { return gate_factor(x); });
   }
 
   const auto& cell = ctx_->cells[g];
   // Overlay the two endpoint modules with exactly the expressions
   // move_gate would apply (same operands, pre-move state), so the scores
   // below match copy + move_gate + fitness bit-for-bit.
-  const double rho = static_cast<double>(ctx_->oracle.rho());
-  double sum_src = static_cast<double>(partition_.module_size(src) - 1) * rho;
-  double sum_dst = static_cast<double>(partition_.module_size(target)) * rho;
-  for (const auto& [neighbor, distance] : ctx_->oracle.near(g)) {
-    const std::uint32_t nm = partition_.module_of(neighbor);
-    if (nm == src)
-      sum_src -= rho - static_cast<double>(distance);
-    else if (nm == target)
-      sum_dst -= rho - static_cast<double>(distance);
-  }
-  const double sep_src = separation_[src] - sum_src;
-  const double sep_tgt = separation_[target] + sum_dst;
+  const SeparationShift shift = separation_shift(g, src, target);
+  const double sep_src = separation_[src] - shift.src;
+  const double sep_tgt = separation_[target] + shift.target;
 
   ProbeScratch& scratch = scratch_.value;
   // Grid maxima of the two overlay profiles, by read-only scan — the only

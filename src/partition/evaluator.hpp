@@ -232,6 +232,25 @@ class PartitionEvaluator {
                            double& settle) const;
   void mark_dirty(std::uint32_t m);
 
+  /// What moving g from src to target removes from src's separation sum
+  /// and adds to target's, read from the pre-move assignment. The single
+  /// scan behind move_gate() and probe_move(), so a probe's overlay uses
+  /// exactly the operands a committed move applies.
+  struct SeparationShift {
+    double src;
+    double target;
+  };
+  [[nodiscard]] SeparationShift separation_shift(netlist::GateId g,
+                                                 std::uint32_t src,
+                                                 std::uint32_t target) const;
+
+  /// Degradation factor of gate g under the committed delay state:
+  /// delta_row(module_of(g))[type_of(g)].
+  [[nodiscard]] double gate_factor(netlist::GateId g) const noexcept {
+    return type_delta_[partition_.module_of(g) * ctx_->type_count +
+                       ctx_->type_of[g]];
+  }
+
   /// Rows of the flat [module x type] SoA matrices.
   [[nodiscard]] std::span<const std::uint32_t> hist_row(
       std::uint32_t m) const noexcept {

@@ -187,10 +187,14 @@ std::optional<JsonValue> JsonValue::parse(std::string_view text) {
 
 double JsonValue::as_double() const noexcept {
   double v = 0.0;
+  return as_double(v) ? v : 0.0;
+}
+
+bool JsonValue::as_double(double& out) const noexcept {
+  if (type_ != Type::Number) return false;
   const auto [ptr, ec] =
-      std::from_chars(string_.data(), string_.data() + string_.size(), v);
-  (void)ptr;
-  return ec == std::errc{} ? v : 0.0;
+      std::from_chars(string_.data(), string_.data() + string_.size(), out);
+  return ec == std::errc{} && ptr == string_.data() + string_.size();
 }
 
 bool JsonValue::as_u64(std::uint64_t& out) const noexcept {

@@ -8,7 +8,11 @@
 //    is preserved.
 //  * JsonWriter — an append-only object/array builder that escapes strings
 //    and writes doubles with 17 significant digits (exact IEEE-754 round
-//    trip, the same convention as core/result_cache.cpp).
+//    trip).
+//
+// The same grammar serves the result cache's results.jsonl lines
+// (core/result_cache.cpp), so protocol events and cache records share one
+// writer and one parser.
 //
 // This is deliberately not a general JSON library: no unicode escapes
 // beyond pass-through bytes, no comments, numbers are validated by
@@ -55,11 +59,11 @@ class JsonValue {
   [[nodiscard]] const std::string& as_string() const noexcept {
     return string_;
   }
-  /// The verbatim number token ("42", "-1.5e3", ...).
-  [[nodiscard]] const std::string& number_token() const noexcept {
-    return string_;
-  }
+  /// The number's value, or 0.0 when it is not a number or out of range.
   [[nodiscard]] double as_double() const noexcept;
+  /// Strict variant: returns false on a non-number or an out-of-range
+  /// token instead of substituting 0.0.
+  [[nodiscard]] bool as_double(double& out) const noexcept;
   /// Exact for integer tokens up to 2^64-1; returns false on sign,
   /// fraction, exponent, or overflow.
   [[nodiscard]] bool as_u64(std::uint64_t& out) const noexcept;

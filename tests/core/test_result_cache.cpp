@@ -166,6 +166,34 @@ TEST(ResultCacheSerialization, RejectsEveryMalformedLine) {
     EXPECT_FALSE(ResultCache::parse(line, key, out)) << line;
 }
 
+TEST(ResultCacheSerialization, RejectsGateIdsPastGateIdRange) {
+  const std::string good =
+      "{\"key\":\"00000000000000a1\",\"method\":\"random\",\"gates\":9,"
+      "\"violation\":0,\"cost\":1.5,\"c\":[1,2,3,4,5],\"iters\":1,"
+      "\"evals\":2,\"modules\":[[4294967295,7]]}";
+  std::uint64_t key = 0;
+  CacheRecord out;
+  ASSERT_TRUE(ResultCache::parse(good, key, out));  // UINT32_MAX still fits
+  EXPECT_EQ(out.modules[0][0], 4294967295u);
+
+  // 2^32 + 6 must not wrap to gate 6 and replay as a different partition.
+  std::string wrapped = good;
+  wrapped.replace(wrapped.find("4294967295"), 10, "4294967302");
+  EXPECT_FALSE(ResultCache::parse(wrapped, key, out)) << wrapped;
+  std::string huge = good;
+  huge.replace(huge.find("4294967295"), 10, "18446744073709551616");
+  EXPECT_FALSE(ResultCache::parse(huge, key, out)) << huge;
+}
+
+TEST(ResultCacheSerialization, RejectsTrailingBytes) {
+  const std::string good = ResultCache::serialize(1, sample_record());
+  std::uint64_t key = 0;
+  CacheRecord out;
+  for (const std::string& line : {good + "x", good + "}", good + ",{}"})
+    EXPECT_FALSE(ResultCache::parse(line, key, out)) << line;
+  EXPECT_TRUE(ResultCache::parse(good + " \t", key, out));
+}
+
 TEST(ResultCacheSerialization, CoverageFieldsRoundTrip) {
   CacheRecord record = sample_record();
   record.has_coverage = true;

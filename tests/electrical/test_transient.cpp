@@ -4,10 +4,14 @@
 
 #include <cmath>
 
+#include "reference/transient.hpp"
 #include "support/error.hpp"
 
 namespace iddq::elec {
 namespace {
+
+using reference::crossing_time_ps;
+using reference::simulate_discharge;
 
 DelayModelInput typical() {
   DelayModelInput in;

@@ -16,31 +16,6 @@ TEST(TestTime, NoSettleNoDegradationIsZero) {
   EXPECT_DOUBLE_EQ(test_time_overhead(10000.0, 10000.0, 0.0), 0.0);
 }
 
-TEST(TestTime, BreakdownTotalsAndRatio) {
-  TestTimeBreakdown b;
-  b.d_nominal_ps = 8000.0;
-  b.d_bic_ps = 8400.0;
-  b.settle_max_ps = 1600.0;
-  b.vectors = 100;
-  EXPECT_DOUBLE_EQ(b.total_nominal_ps(), 800000.0);
-  EXPECT_DOUBLE_EQ(b.total_bic_ps(), 1000000.0);
-  EXPECT_NEAR(b.overhead(), 0.25, 1e-12);
-  EXPECT_NEAR(b.overhead(),
-              test_time_overhead(b.d_nominal_ps, b.d_bic_ps, b.settle_max_ps),
-              1e-12);
-}
-
-TEST(TestTime, VectorCountCancelsInOverhead) {
-  TestTimeBreakdown a;
-  a.d_nominal_ps = 9000.0;
-  a.d_bic_ps = 9300.0;
-  a.settle_max_ps = 500.0;
-  a.vectors = 10;
-  TestTimeBreakdown b = a;
-  b.vectors = 10000;
-  EXPECT_DOUBLE_EQ(a.overhead(), b.overhead());
-}
-
 TEST(TestTime, RejectsInvalidInputs) {
   EXPECT_THROW((void)test_time_overhead(0.0, 1.0, 0.0), Error);
   EXPECT_THROW((void)test_time_overhead(10.0, 5.0, 0.0), Error);  // DBIC < D

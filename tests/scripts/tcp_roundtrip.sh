@@ -1,7 +1,8 @@
 #!/bin/sh
 # TCP transport acceptance at the binary level:
 #   1. the same sweep over --listen (TCP) and --socket (unix) produces
-#      bit-identical client row output,
+#      bit-identical client row output, and the same rows (in completion
+#      order) as the direct `iddqsyn --quiet` run,
 #   2. connecting to a dead port is a clean exit-2 error, not a hang,
 #   3. a server that dies mid-stream (SIGKILL — SIGTERM now drains
 #      gracefully, docs/robustness.md) leaves the client with a clean
@@ -29,8 +30,10 @@ start_tcp_server() {
   SERVER_PID=$!
   PORT=""
   for _ in $(seq 1 100); do
+    # The background child may not have opened its stderr file yet; a
+    # missing file means "not yet", not a failure.
     PORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
-             "$WORK/server_err.txt")
+             "$WORK/server_err.txt" 2>/dev/null || true)
     [ -n "$PORT" ] && return 0
     sleep 0.1
   done
@@ -64,6 +67,15 @@ stop_server
 
 cmp "$WORK/rows_tcp.txt" "$WORK/rows_unix.txt"
 grep -q "method=random" "$WORK/rows_tcp.txt"
+
+# The --submit client decodes each row event and prints it with the local
+# row printer: the same circuits, methods and seed must print the same rows
+# (sorted: a multi-circuit sweep streams rows in completion order).
+timeout 120 "$CLI" --quiet --method random,standard --seed 42 c17 \
+  > "$WORK/rows_local.txt"
+sort "$WORK/rows_tcp.txt" > "$WORK/rows_tcp_sorted.txt"
+sort "$WORK/rows_local.txt" > "$WORK/rows_local_sorted.txt"
+cmp "$WORK/rows_tcp_sorted.txt" "$WORK/rows_local_sorted.txt"
 
 # --- 2. connection refused: clean error exit, bounded time --------------
 # Bind-then-kill guarantees a port nothing is listening on.

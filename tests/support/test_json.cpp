@@ -110,5 +110,15 @@ TEST(Json, ParsesScalarsAndNull) {
   EXPECT_TRUE(JsonValue::parse("[]")->is_array());
 }
 
+TEST(Json, StrictDoubleRejectsOutOfRangeAndNonNumbers) {
+  double v = 7.0;
+  EXPECT_TRUE(JsonValue::parse("0.25")->as_double(v));
+  EXPECT_EQ(v, 0.25);
+  EXPECT_FALSE(JsonValue::parse("1e999")->as_double(v));
+  EXPECT_EQ(JsonValue::parse("1e999")->as_double(), 0.0);
+  EXPECT_FALSE(JsonValue::parse(R"("1.5")")->as_double(v));
+  EXPECT_FALSE(JsonValue::parse("[1.5]")->as_double(v));
+}
+
 }  // namespace
 }  // namespace iddq::json

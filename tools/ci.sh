@@ -541,8 +541,10 @@ if [ "$MODE" = "asan" ]; then
     --gtest_filter='Evaluator*:*Incremental*:*Probe*:SharedProfiles.*'
   "$BUILD_DIR/iddq_tests_estimators" \
     --gtest_filter='IncrementalTiming.*:CurrentProfile.*'
+  # ResultCache* parses outside bytes (results.jsonl lines) through
+  # support/json; *Resynth* rebuilds netlists from the retiming plan.
   IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_core" \
-    --gtest_filter='Evolution.*:Tabu.*:Portfolio.*:JobService.*:JobProtocol.*'
+    --gtest_filter='Evolution.*:Tabu.*:Portfolio.*:JobService.*:JobProtocol.*:ResultCache*:CacheKey.*:*Resynth*'
   IDDQ_THREADS=2 "$BUILD_DIR/iddq_tests_cluster" \
     --gtest_filter='ClusterClient.*:ClusterSession.*'
   # The docs/server.md worked session, on two circuits: every job's

@@ -206,6 +206,32 @@ void print_method_row(std::ostream& os, const std::string& circuit,
   os << "\n";
 }
 
+// The fields of a protocol `row` event (docs/server.md) that a summary row
+// prints. Doubles travel with 17 significant digits, so the decoded values
+// are bit-identical to the server's MethodResult and the printed row matches
+// the direct CLI's byte for byte.
+core::MethodResult row_from_event(const json::JsonValue& event) {
+  core::MethodResult r;
+  r.method = event.get_string("method");
+  r.module_count = event.get_u64("modules");
+  r.fitness.violation = event.get_double("violation");
+  r.fitness.cost = event.get_double("cost");
+  r.sensor_area = event.get_double("sensor_area");
+  r.delay_overhead = event.get_double("delay_overhead");
+  r.test_overhead = event.get_double("test_overhead");
+  r.evaluations = event.get_u64("evaluations");
+  // Coverage columns appear only when the server grades them.
+  r.has_coverage = event.find("fault_coverage_pct") != nullptr;
+  if (r.has_coverage) {
+    r.fault_coverage_pct = event.get_double("fault_coverage_pct");
+    r.faults_detected = event.get_u64("faults_detected");
+    r.faults_total = event.get_u64("faults_total");
+    r.patterns_minimized = event.get_u64("patterns_minimized");
+    r.patterns_used = event.get_u64("patterns_used");
+  }
+  return r;
+}
+
 // --pareto: one frontier per circuit over (relative sensor-area overhead,
 // measured fault coverage). Overhead is relative to the cheapest graded
 // row of the SAME circuit — the frontier compares methods against each
@@ -366,31 +392,8 @@ int run_submit_client(const CliOptions& opts) {
     if (!event || !event->is_object()) continue;
     const std::string kind = event->get_string("event");
     if (kind == "row") {
-      std::cout << event->get_string("circuit")
-                << ": method=" << event->get_string("method")
-                << " K=" << event->get_u64("modules")
-                << " cost="
-                << report::format_fixed(event->get_double("cost"), 1)
-                << " sensor_area="
-                << report::format_eng(event->get_double("sensor_area"))
-                << " delay_ovh="
-                << report::format_pct(event->get_double("delay_overhead"))
-                << " test_ovh="
-                << report::format_pct(event->get_double("test_overhead"))
-                << " evals=" << event->get_u64("evaluations") << " feasible="
-                << (event->get_bool("feasible", false) ? "yes" : "NO");
-      // Coverage columns appear only when the server grades them; the
-      // printed row then matches the direct CLI's byte for byte.
-      if (event->find("fault_coverage_pct") != nullptr)
-        std::cout << " cov="
-                  << report::format_pct(
-                         event->get_double("fault_coverage_pct"),
-                         /*already_pct=*/true)
-                  << " faults=" << event->get_u64("faults_detected") << "/"
-                  << event->get_u64("faults_total")
-                  << " patterns=" << event->get_u64("patterns_minimized")
-                  << "/" << event->get_u64("patterns_used");
-      std::cout << "\n";
+      print_method_row(std::cout, event->get_string("circuit"),
+                       row_from_event(*event));
     } else if (kind == "failed") {
       failed = true;
       std::cerr << "iddqsyn: " << event->get_string("circuit") << ": "
