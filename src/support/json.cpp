@@ -130,12 +130,11 @@ class Parser {
       out.type_ = JsonValue::Type::Object;
       if (consume('}')) return true;
       while (true) {
-        std::string name;
+        // Members and elements are parsed in place: no per-value move.
+        auto& [name, value] = out.object_.emplace_back();
         skip_ws();
         if (!parse_string_payload(name) || !consume(':')) return false;
-        JsonValue value;
         if (!parse_value(value, depth + 1)) return false;
-        out.object_.emplace_back(std::move(name), std::move(value));
         if (consume(',')) continue;
         return consume('}');
       }
@@ -145,9 +144,7 @@ class Parser {
       out.type_ = JsonValue::Type::Array;
       if (consume(']')) return true;
       while (true) {
-        JsonValue value;
-        if (!parse_value(value, depth + 1)) return false;
-        out.array_.push_back(std::move(value));
+        if (!parse_value(out.array_.emplace_back(), depth + 1)) return false;
         if (consume(',')) continue;
         return consume(']');
       }
