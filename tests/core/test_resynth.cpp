@@ -29,6 +29,52 @@ std::vector<std::vector<netlist::GateId>> split_groups(
   return groups;
 }
 
+// The Resynth.* tests run the pass with one group holding every logic gate:
+// the whole circuit on one sensor, where the sum of module peaks is the
+// circuit's own peak.
+
+TEST(Resynth, ReducesPeakCurrent) {
+  Fixture f;
+  ResynthOptions opts;
+  opts.max_retimed_gates = 40;
+  const auto result = retime_for_iddq_partitioned(
+      f.nl, f.library, split_groups(f.nl, 1), opts);
+  EXPECT_GT(result.retimed_gates, 0u);
+  EXPECT_LT(result.sum_peak_after_ua, result.sum_peak_before_ua);
+  EXPECT_GT(result.sum_peak_reduction(), 0.0);
+}
+
+TEST(Resynth, PreservesCriticalPathWithZeroMargin) {
+  Fixture f;
+  ResynthOptions opts;
+  opts.max_retimed_gates = 40;
+  opts.delay_margin = 0.0;
+  const auto result = retime_for_iddq_partitioned(
+      f.nl, f.library, split_groups(f.nl, 1), opts);
+  EXPECT_NEAR(result.delay_after_ps, result.delay_before_ps,
+              1e-6 * result.delay_before_ps);
+}
+
+TEST(Resynth, PreservesLogicFunction) {
+  Fixture f;
+  const auto result =
+      retime_for_iddq_partitioned(f.nl, f.library, split_groups(f.nl, 1));
+  ASSERT_GT(result.retimed_gates, 0u);
+  const sim::LogicSim sim_before(f.nl);
+  const sim::LogicSim sim_after(result.netlist);
+  Rng rng(3);
+  const auto patterns = sim::random_patterns(f.nl, 128, rng);
+  for (const auto& batch : patterns) {
+    const auto before = sim_before.run(batch.words);
+    const auto after = sim_after.run(batch.words);
+    for (const auto po : f.nl.primary_outputs()) {
+      const auto po_after = result.netlist.at(f.nl.gate(po).name);
+      ASSERT_EQ(before[po], after[po_after])
+          << "output " << f.nl.gate(po).name << " diverged";
+    }
+  }
+}
+
 TEST(PartitionedResynth, ReducesSumOfModulePeaks) {
   Fixture f;
   const auto groups = split_groups(f.nl, 3);
